@@ -2,12 +2,12 @@
 
 Times the whole hot kernels — :func:`finite_diff_vectorized` (first-order
 Rusanov), :func:`finite_diff_muscl` (second-order MUSCL-Hancock), and the
-CFL reduction :func:`compute_timestep` — under each available compiled
-backend (``cext``, ``numba``) against the NumPy oracle on a developed
-128x128 level-2 dam break, per precision level, after first *proving*
-the backend produces bit-identical state over several steps (the
-property that makes the backend admissible at all; see
-``tests/test_backends.py`` for the exhaustive version).
+CFL reduction :func:`compute_timestep` — under the compiled ``cext``
+backend against the NumPy oracle on a developed 128x128 level-2 dam
+break, per precision level, after first *proving* the backend produces
+bit-identical state over several steps (the property that makes the
+backend admissible at all; see ``tests/test_backends.py`` for the
+exhaustive version).
 
 What to expect, and what is gated:
 
@@ -179,8 +179,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--backends", default=None, metavar="A,B",
                         help="comma-separated backends to measure (default: "
-                             "every available compiled backend); naming an "
-                             "unavailable one fails")
+                             "cext when available); naming an unavailable "
+                             "one fails")
     parser.add_argument("--reps", type=int, default=30,
                         help="timed repetitions per measurement (default 30)")
     parser.add_argument("--min-muscl-speedup", type=float, default=3.0,
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         requested = None
 
     available = {r["name"]: r for r in backends.available_backends()}
-    names = requested or [n for n in ("cext", "numba") if available[n]["available"]]
+    names = requested or [n for n in ("cext",) if available[n]["available"]]
     failures = []
     for name in names:
         if name not in available or name in ("numpy", "auto"):
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     if not names:
-        print("no compiled backend available (no C compiler, no numba); "
+        print("no compiled backend available (no C compiler); "
               "nothing to measure")
         return 0
 

@@ -8,10 +8,11 @@ faithful to its architecture:
   are found through a finest-level spatial hash, with a 2:1 level balance
   (:mod:`repro.clamr.mesh`, :mod:`repro.clamr.amr`);
 * the **shallow-water equations** advanced by a conservative finite-volume
-  kernel with face-by-face fluxes; the hot loop exists in two genuinely
-  different implementations — a scalar pure-Python loop ("unvectorized")
-  and a NumPy bulk-array version ("vectorized") — the axis of the paper's
-  Table III (:mod:`repro.clamr.kernels`);
+  kernel with face-by-face fluxes; the hot loop runs either as NumPy bulk
+  arrays ("vectorized", the oracle) or as the canonical per-face loops of
+  the ``python`` kernel backend ("unvectorized") — the axis of the
+  paper's Table III, bit-identical by construction
+  (:mod:`repro.clamr.kernels`, :mod:`repro.clamr.backends`);
 * **three precision modes** via :class:`repro.precision.PrecisionPolicy`:
   minimum (float32 throughout), mixed (float32 state, float64 locals),
   full (float64 throughout) (:mod:`repro.clamr.state`);

@@ -1,4 +1,4 @@
-"""Loop-form kernel bodies — the single source the compiled backends share.
+"""Loop-form kernel bodies — the bit reference the C backend transliterates.
 
 Every function here is a straight element-at-a-time transliteration of the
 NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl` /
@@ -7,18 +7,19 @@ NumPy kernels in :mod:`repro.clamr.kernels` / :mod:`repro.clamr.muscl` /
 * executed by CPython over NumPy *scalars* ("python" backend) the
   arithmetic replays the array kernels' per-element operation sequence
   bit-for-bit, and
-* compiled by numba's ``njit`` ("numba" backend) the same property holds,
-  because every operation is a single correctly-rounded IEEE-754 op on
-  values of the compute dtype.
+* rendered line for line in C (``_kernels_impl.h``, the "cext" backend)
+  the same property holds, because every operation is a single
+  correctly-rounded IEEE-754 op on values of the compute dtype.
 
 The bit contract imposes three authoring rules:
 
-1. **No bare float literals.**  Numba types ``x * 0.5`` at float64 even
-   when ``x`` is float32 (it has no NEP-50 weak scalars), which would
-   change the rounding of every float32 intermediate.  All constants —
-   gravity, 0.5, the dry floor — arrive as arguments already cast to the
-   compute dtype; derived constants (``hg = half * g``, ``zero = g - g``)
-   are computed from them with exact operations.
+1. **No bare float literals.**  In C, ``x * 0.5`` is computed in double
+   even when ``x`` is float (``0.5`` is a double literal; C has nothing
+   like NumPy's NEP-50 weak scalars), which would change the rounding of
+   every float32 intermediate.  All constants — gravity, 0.5, the dry
+   floor — arrive as arguments already cast to the compute dtype;
+   derived constants (``hg = half * g``, ``zero = g - g``) are computed
+   from them with exact operations.
 2. **Comparison-based min/max replays NumPy's.**  ``np.maximum`` is
    ``(a > b or isnan(a)) ? a : b`` — NaN-propagating, and *not* the same
    as ``max(a, b)`` for NaNs or signed zeros.  :func:`_npmax` /

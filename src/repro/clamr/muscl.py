@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clamr import backends as _backends
-from repro.clamr import kernels as _kernels
 from repro.clamr.kernels import (
     FLOPS_PER_CELL_UPDATE,
     FLOPS_PER_FACE,
@@ -40,7 +39,6 @@ from repro.clamr.kernels import (
     GeometryCache,
     _rusanov_x,
     _rusanov_y,
-    _scatter_group,
     _wellbalanced_x,
     geometry_cache,
 )
@@ -116,12 +114,9 @@ def muscl_rhs(
     """
     if geom is None:
         geom = geometry_cache()
-    if _kernels._SCATTER_MODE == "plan":  # add_at keeps the full oracle
-        compiled = _backends.try_muscl_rhs(
-            mesh, H, U, V, faces, cdtype, geom, slot, bathy
-        )
-        if compiled is not None:
-            return compiled
+    compiled = _backends.try_muscl_rhs(mesh, H, U, V, faces, cdtype, geom, slot, bathy)
+    if compiled is not None:
+        return compiled
     g = cdtype.type(GRAVITY)
     half = cdtype.type(0.5)
     size, _ = geom.geometry(mesh, cdtype)
@@ -178,7 +173,9 @@ def muscl_rhs(
             np.add.at(dV, R, fv * xsize_c)
         else:
             fh, fu, fv = _rusanov_x(hL, uL, vL, hR, uR, vR, g)
-            _scatter_group(xplan, dH, dU, dV, L, R, fh, fu, fv, xsize_c)
+            xplan.apply(dH, fh)
+            xplan.apply(dU, fu)
+            xplan.apply(dV, fv)
 
     # interior y-faces
     if faces.yb.size:
@@ -215,7 +212,9 @@ def muscl_rhs(
             np.add.at(dV, T, phiT * ysize_c)
         else:
             fh, fu, fv = _rusanov_y(hB, uB, vB, hT, uT, vT, g)
-            _scatter_group(yplan, dH, dU, dV, B, T, fh, fu, fv, ysize_c)
+            yplan.apply(dH, fh)
+            yplan.apply(dU, fu)
+            yplan.apply(dV, fv)
 
     # reflective walls: first-order mirror flux (slopes clip to zero at
     # the wall anyway, by the self-link convention in limited_slopes)

@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     clamr.add_argument("--flight-stride", type=int, default=4, metavar="N",
                        help="flight sampling stride in steps (default 4)")
     clamr.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|numba|auto "
+                       help="kernel backend: numpy|python|cext|auto "
                             "(default: $REPRO_KERNEL_BACKEND, else numpy; "
                             "see 'repro backends')")
 
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     selfp.add_argument("--flight-stride", type=int, default=4, metavar="N",
                        help="flight sampling stride in steps (default 4)")
     selfp.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|numba|auto "
+                       help="kernel backend: numpy|python|cext|auto "
                             "(default: $REPRO_KERNEL_BACKEND, else numpy; "
                             "see 'repro backends')")
 
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--flight-stride", type=int, default=4, metavar="N",
                        help="flight sampling stride in steps (default 4)")
     trace.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|numba|auto "
+                       help="kernel backend: numpy|python|cext|auto "
                             "(default: $REPRO_KERNEL_BACKEND, else numpy)")
 
     flight = sub.add_parser(
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     lrec.add_argument("--order", type=int, default=3, help="SELF polynomial order")
     lrec.add_argument("--precision", default="double", choices=("single", "double"))
     lrec.add_argument("--backend", default=None, metavar="NAME",
-                      help="kernel backend: numpy|python|cext|numba|auto "
+                      help="kernel backend: numpy|python|cext|auto "
                            "(default: $REPRO_KERNEL_BACKEND, else numpy; recorded "
                            "on the record's 'backend' field, excluded from its "
                            "fingerprint)")
@@ -427,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     drec.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
     drec.add_argument("--scalar", action="store_true",
                       help="use the unvectorized clamr kernel")
-    drec.add_argument("--scatter", default="plan", choices=("plan", "add_at"),
-                      help="clamr scatter implementation (plan = CSR)")
     drec.add_argument("--elems", type=int, default=3, help="SELF elements per side")
     drec.add_argument("--order", type=int, default=3, help="SELF polynomial order")
     drec.add_argument("--precision", default="double", choices=("single", "double"))
@@ -728,7 +726,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     env = os.environ.get(ENV_VAR)
     print(f"selected : {active_backend()}"
           + (f" (${ENV_VAR}={env})" if env else " (default)"))
-    print(f"resolved : {resolved_backend()} (float16 state always runs the numpy oracle)")
+    print(f"resolved : {resolved_backend()} (cext and auto run float16 on the numpy oracle)")
     return 0
 
 
@@ -1379,7 +1377,6 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
             elems=args.elems,
             order=args.order,
             precision=args.precision,
-            scatter=args.scatter,
             seed=args.seed,
             hash_stride=args.hash_stride,
             hash_chunk=args.hash_chunk,

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.diverge.record import _scatter_context, _sim_config
+from repro.diverge.record import _sim_config
 from repro.diverge.ulp import fields_ulp_stats
 
 __all__ = ["OnsetReport", "onset_curve", "DEFAULT_THRESHOLDS"]
@@ -100,7 +100,6 @@ def onset_curve(
     order: int = 3,
     scheme: str = "rusanov",
     vectorized: bool = True,
-    scatter: str = "plan",
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> OnsetReport:
     """Per-step ULP divergence-onset curve for one precision pair.
@@ -120,9 +119,8 @@ def onset_curve(
     report = OnsetReport(workload=workload, pair=(mode_a, mode_b), steps=steps)
     running = 0.0
     for step in range(1, steps + 1):
-        with _scatter_context(workload, scatter):
-            side_a.advance(1)
-            side_b.advance(1)
+        side_a.advance(1)
+        side_b.advance(1)
         stats = fields_ulp_stats(side_a.arrays(), side_b.arrays())
         comparable = {n: s for n, s in stats.items() if s.get("comparable")}
         max_ulp = max((s["max_ulp"] for s in comparable.values()), default=0.0)

@@ -17,8 +17,8 @@ Each recorded run is a directory::
 
 ``run.json`` carries everything :mod:`repro.diverge.replay` needs to
 reconstruct the simulation exactly — the config dataclass, precision
-selector, scatter backend, seed, and the fault plan — so a run
-directory is a self-contained reproduction recipe.
+selector, seed, and the fault plan — so a run directory is a
+self-contained reproduction recipe.
 
 :func:`fault_footprint` is the resilience-campaign integration: record
 a clean and a faulted twin of the same workload in memory and report
@@ -28,7 +28,6 @@ the injection site).
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -103,14 +102,6 @@ def _write_checkpoint(path: Path, adapter) -> None:
         write_state(path, adapter.sim.mesh, adapter.sim.U)
 
 
-def _scatter_context(workload: str, scatter: str):
-    if workload != "clamr" or not scatter:
-        return contextlib.nullcontext()
-    from repro.clamr.kernels import scatter_mode
-
-    return scatter_mode(scatter)
-
-
 def record_run(
     out: str | Path | None,
     *,
@@ -124,7 +115,6 @@ def record_run(
     elems: int = 3,
     order: int = 3,
     precision: str = "double",
-    scatter: str = "plan",
     seed: int = 0,
     hash_stride: int = 1,
     hash_chunk: int = 4096,
@@ -169,20 +159,15 @@ def record_run(
         out_dir.mkdir(parents=True, exist_ok=True)
     injected: list = []
     checkpoint_steps: list[int] = []
-    with _scatter_context(workload, scatter):
-        for step in range(1, steps + 1):
-            adapter.advance(1)
-            if injector is not None:
-                injected.extend(injector.apply(step, adapter.arrays()))
-            if ladder.should_hash(step):
-                ladder.record_site(step, STATE_SITE, adapter.arrays())
-            if (
-                out_dir is not None
-                and checkpoint_interval
-                and step % checkpoint_interval == 0
-            ):
-                _write_checkpoint(out_dir / f"ckpt-{step:05d}.bin", adapter)
-                checkpoint_steps.append(step)
+    for step in range(1, steps + 1):
+        adapter.advance(1)
+        if injector is not None:
+            injected.extend(injector.apply(step, adapter.arrays()))
+        if ladder.should_hash(step):
+            ladder.record_site(step, STATE_SITE, adapter.arrays())
+        if out_dir is not None and checkpoint_interval and step % checkpoint_interval == 0:
+            _write_checkpoint(out_dir / f"ckpt-{step:05d}.bin", adapter)
+            checkpoint_steps.append(step)
 
     run_doc = {
         "schema": RUN_SCHEMA_VERSION,
@@ -193,7 +178,6 @@ def record_run(
         "precision": precision,
         "scheme": scheme,
         "vectorized": vectorized,
-        "scatter": scatter if workload == "clamr" else "",
         "scenario": scenario,
         "config": json.loads(json.dumps(asdict(config))),
         "hash_stride": hash_stride,
@@ -218,7 +202,6 @@ def record_run(
                 "policy": policy,
                 "precision": precision,
                 "scheme": scheme,
-                "scatter": run_doc["scatter"],
                 "faults": run_doc["faults"],
             },
         )

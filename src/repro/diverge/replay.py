@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.diverge.compare import DivergenceReport, compare_ladders, compare_paths
 from repro.diverge.ladder import StateHashLadder
-from repro.diverge.record import STATE_SITE, _scatter_context, load_run_doc
+from repro.diverge.record import STATE_SITE, load_run_doc
 from repro.diverge.ulp import fields_ulp_stats
 
 __all__ = ["ReplayReport", "replay"]
@@ -120,7 +120,6 @@ class _ReplaySide:
         self.run_dir = run_dir
         self.doc = doc
         self.workload = doc["workload"]
-        self.scatter = doc.get("scatter", "")
         tel = Telemetry(label=f"replay/{run_dir.name}", ladder=ladder)
         if self.workload == "clamr":
             from repro.clamr import DamBreakConfig
@@ -167,9 +166,8 @@ class _ReplaySide:
         sim.step_count = step
 
     def advance(self, step: int) -> None:
-        """One step + due faults, inside this side's scatter backend."""
-        with _scatter_context(self.workload, self.scatter):
-            self.adapter.advance(1)
+        """One step + due faults."""
+        self.adapter.advance(1)
         if self.injector is not None:
             self.injector.apply(step, self.adapter.arrays())
 

@@ -491,8 +491,9 @@ def table3_vectorization(nx: int = 24, steps: int = 40) -> Table:
     checkpoint sizes, per precision level.
 
     Paper values: unvectorized 11.4/12.3/12.7 s; vectorized 4.8/8.9/9.2 s;
-    checkpoint 86M/86M/128M.  Our "unvectorized" is a genuine scalar Python
-    loop, so absolute ratios to the NumPy path are Python-sized; the rows
+    checkpoint 86M/86M/128M.  Our "unvectorized" is the ``python``
+    backend's per-face loop (bit-identical to the NumPy path), so absolute
+    ratios to the NumPy path are Python-sized; the rows
     also carry the Haswell roofline model's times, whose ratios are the
     hardware-sized comparison.
     """

@@ -21,11 +21,12 @@ two hashes over canonical JSON:
 Wall-clock facts (timestamps, durations) are deliberately *excluded*
 from both hashes: identity is what was run, not how long it took.
 
-The kernel *backend* (``numpy`` oracle vs a compiled ``cext``/``numba``
-path) is likewise excluded from both hashes, by the same rule that keeps
-``machine`` out of the workload key: backends are bit-identical by
-contract (the parity suite enforces it), so switching one is an
-implementation detail of *how fast* the run went, not *what* was run.
+The kernel *backend* (``numpy`` oracle, compiled ``cext``, or the
+``python`` loops) is likewise excluded from both hashes, by the same
+rule that keeps ``machine`` out of the workload key: backends are
+bit-identical by contract (the parity suite enforces it), so switching
+one is an implementation detail of *how fast* the run went, not *what*
+was run.
 The resolved backend is still recorded on the ``backend`` field so a
 ledger row says which implementation produced it; records written before
 this field existed read back as ``"numpy"``.
@@ -93,7 +94,7 @@ class RunRecord:
     kernels: dict[str, KernelSummary]
     fidelity: dict = field(default_factory=dict)
     #: Kernel implementation that produced the run ("numpy", "cext",
-    #: "numba", "python").  Provenance only — excluded from both hashes;
+    #: "python").  Provenance only — excluded from both hashes;
     #: see the module docstring.
     backend: str = "numpy"
 

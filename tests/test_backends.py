@@ -1,6 +1,6 @@
 """Kernel-backend registry, dispatch, and bit-identity parity.
 
-The compiled backends (``python`` loops, ``cext``, ``numba``) sit behind
+The alternative backends (the ``python`` loops and ``cext``) sit behind
 the NumPy oracle under a hard contract: *bit-identical state at every
 precision level, scheme, and scenario, or the dispatch is a bug*.  These
 tests enforce the contract end to end — raw kernel calls, full
@@ -10,8 +10,8 @@ semantics (selection precedence, env var, graceful fallback) and the
 deliberate exclusion of the backend from run identity.
 
 The ``python`` backend is always importable, so the parity net stays
-armed even where no compiler or numba exists.  ``cext``/``numba`` cases
-skip where unavailable and run in CI.
+armed even where no compiler exists.  ``cext`` cases skip where no C
+compiler is available and run in CI.
 """
 
 import os
@@ -36,15 +36,13 @@ from repro.clamr.kernels import FaceLists, compute_timestep, finite_diff_vectori
 from repro.clamr.muscl import finite_diff_muscl
 
 HAVE_CEXT = backends.cext.availability()[0]
-HAVE_NUMBA = backends.numba_backend.availability()[0]
 
 #: compiled backends present in this environment (parametrized cases)
 COMPILED = [
     pytest.param("cext", marks=pytest.mark.skipif(not HAVE_CEXT, reason="no C compiler")),
-    pytest.param("numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")),
 ]
 
-BEST_COMPILED = "numba" if HAVE_NUMBA else ("cext" if HAVE_CEXT else None)
+BEST_COMPILED = "cext" if HAVE_CEXT else None
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +57,7 @@ def _isolate_backend():
 
 class TestRegistry:
     def test_registry_names(self):
-        assert BACKENDS == ("numpy", "python", "cext", "numba", "auto")
+        assert BACKENDS == ("numpy", "python", "cext", "auto")
 
     def test_normalize_canonicalizes(self):
         assert normalize_backend(" CEXT ") == "cext"
@@ -101,7 +99,7 @@ class TestRegistry:
     def test_float16_always_runs_the_oracle(self):
         # the half policy computes in float16, which no compiled backend
         # supports; dispatch must fall back rather than convert
-        for name in ("cext", "numba", "auto"):
+        for name in ("cext", "auto"):
             with kernel_backend(name):
                 assert resolved_backend(np.float16) == "numpy"
         # the pure-Python loops are dtype-generic and do run float16
@@ -267,7 +265,7 @@ class TestLadderAndLedgerParity:
         assert ref.fingerprint == got.fingerprint
         # ...while the provenance field says who computed it
         assert ref.backend == "numpy"
-        assert got.backend in ("cext", "numba", "python")
+        assert got.backend in ("cext", "python")
 
     def test_workload_key_pinned(self):
         # the literal guards the *exclusion*: if the backend ever leaks
@@ -331,40 +329,29 @@ class TestExecutorParity:
 
 
 class TestFallback:
-    def test_numba_absent_falls_back_to_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("requested", ["cext", "auto"])
+    def test_cext_absent_falls_back_to_oracle(self, monkeypatch, requested):
         # force the probe to fail, whatever this environment has
-        monkeypatch.setattr(backends.numba_backend, "jitted_ops", lambda: None)
         monkeypatch.setattr(
-            backends.numba_backend, "availability", lambda: (False, "forced absent")
+            backends.cext, "availability", lambda: (False, "forced absent")
         )
         backends._OPS_CACHE.clear()
         try:
-            with kernel_backend("numba"):
+            with kernel_backend(requested):
                 assert resolved_backend(np.float64) == "numpy"
                 cfg = DamBreakConfig(nx=8, ny=8, max_level=1)
                 got = ClamrSimulation(cfg, policy="mixed")
                 got.run(6)
             ref = ClamrSimulation(DamBreakConfig(nx=8, ny=8, max_level=1), policy="mixed")
             ref.run(6)
-            _assert_states_equal(ref.state, got.state, "(numba fallback)")
+            _assert_states_equal(ref.state, got.state, f"({requested} fallback)")
         finally:
             backends._OPS_CACHE.clear()
 
     def test_auto_resolves_to_something_runnable(self):
         with kernel_backend("auto"):
             name = resolved_backend(np.float64)
-        assert name in ("numpy", "cext", "numba")
-
-    def test_explicit_oracle_scatter_mode_disables_dispatch(self):
-        # scatter_mode("add_at") is the *other* oracle switch; backends
-        # must never engage under it, so the two escape hatches compose
-        from repro.clamr.kernels import scatter_mode
-
-        mesh, state, faces = _snapshot("full", nx=8)
-        with scatter_mode("add_at"):
-            ref, _ = _evolve(mesh, state, faces, finite_diff_vectorized, None, "numpy")
-            got, _ = _evolve(mesh, state, faces, finite_diff_vectorized, None, "python")
-        _assert_states_equal(ref, got, "(add_at)")
+        assert name == ("cext" if HAVE_CEXT else "numpy")
 
 
 class TestCli:
@@ -379,10 +366,12 @@ class TestCli:
     def test_unknown_backend_exits_2_one_line(self, capsys):
         from repro.cli import main
 
-        assert main(["clamr", "--nx", "8", "--steps", "2", "--backend", "tpu"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "unknown kernel backend" in err
+        # "numba" gets the same one-line rejection as any unknown name
+        for name in ("tpu", "numba"):
+            assert main(["clamr", "--nx", "8", "--steps", "2", "--backend", name]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "unknown kernel backend" in err
 
     def test_backend_flag_runs_and_exports_env(self, capsys):
         from repro.cli import main

@@ -1,16 +1,19 @@
 """Bit-identity and cache behavior of the ScatterPlan fast path.
 
 The scatter optimization's entire contract is *bitwise* equivalence with
-the legacy ``np.add.at`` kernel — not closeness, identity.  These tests
-drive full simulations (all precision levels x both schemes, with and
-without AMR regrids) under both scatter modes and compare every state
-bit, plus unit-level checks of the plan structure, the geometry cache,
-and the scipy-less fallback.
+``np.add.at`` — not closeness, identity.  ScatterPlan keeps its own
+``np.add.at`` branch (float16 and scipy-less installs run it), so these
+tests force that branch by hiding scipy's compiled kernels and check the
+CSR accumulation order against it: full simulations (all precision
+levels x both schemes, with and without AMR regrids) compare every
+state bit.  Unit-level checks cover the plan structure, the geometry
+cache, and the scipy-less fallback.
 """
 
 import numpy as np
 import pytest
 
+import repro.clamr.kernels as K
 from repro.clamr import ClamrSimulation, DamBreakConfig
 from repro.clamr.kernels import (
     FaceLists,
@@ -18,19 +21,24 @@ from repro.clamr.kernels import (
     ScatterPlan,
     compute_timestep,
     finite_diff_vectorized,
-    scatter_mode,
 )
 from repro.clamr.mesh import AmrMesh
 
 
-def _run_states(policy, scheme, nx=16, steps=20, max_level=2):
-    """Final (H, U, V) under each scatter mode, same config."""
+def force_add_at(monkeypatch):
+    """Route every ScatterPlan.apply through its ``np.add.at`` branch."""
+    monkeypatch.setattr(K, "_scipy_sparsetools", None)
+
+
+def _run_states(monkeypatch, policy, scheme, nx=16, steps=20, max_level=2):
+    """Final (H, U, V) with the CSR scatter, then with the add.at branch."""
     out = {}
     for mode in ("plan", "add_at"):
+        if mode == "add_at":
+            force_add_at(monkeypatch)
         cfg = DamBreakConfig(nx=nx, ny=nx, max_level=max_level)
-        with scatter_mode(mode):
-            sim = ClamrSimulation(cfg, policy=policy, scheme=scheme)
-            sim.run(steps)
+        sim = ClamrSimulation(cfg, policy=policy, scheme=scheme)
+        sim.run(steps)
         out[mode] = (sim.state.H.copy(), sim.state.U.copy(), sim.state.V.copy())
     return out
 
@@ -38,31 +46,32 @@ def _run_states(policy, scheme, nx=16, steps=20, max_level=2):
 class TestBitIdentity:
     @pytest.mark.parametrize("policy", ["min", "mixed", "full"])
     @pytest.mark.parametrize("scheme", ["rusanov", "muscl"])
-    def test_full_simulation_bit_identical(self, policy, scheme):
+    def test_full_simulation_bit_identical(self, monkeypatch, policy, scheme):
         # max_level=2 dam break regrids as the wave spreads, so this
         # exercises plan rebuilds across topology generations too
-        states = _run_states(policy, scheme)
+        states = _run_states(monkeypatch, policy, scheme)
         for a, b in zip(states["plan"], states["add_at"]):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b), f"{policy}/{scheme}: state bits diverged"
 
-    def test_uniform_mesh_no_regrid(self):
+    def test_uniform_mesh_no_regrid(self, monkeypatch):
         # the no-AMR case keeps one topology for the whole run
-        states = _run_states("mixed", "rusanov", max_level=0, steps=30)
+        states = _run_states(monkeypatch, "mixed", "rusanov", max_level=0, steps=30)
         for a, b in zip(states["plan"], states["add_at"]):
             assert np.array_equal(a, b)
 
-    def test_single_step_identity_from_developed_state(self):
+    def test_single_step_identity_from_developed_state(self, monkeypatch):
         cfg = DamBreakConfig(nx=24, ny=24, max_level=2)
         sim = ClamrSimulation(cfg, policy="full")
         sim.run(10)
         faces = FaceLists.from_mesh(sim.mesh)
         results = {}
         for mode in ("plan", "add_at"):
+            if mode == "add_at":
+                force_add_at(monkeypatch)
             s = sim.state.copy()
-            with scatter_mode(mode):
-                dt = compute_timestep(sim.mesh, s, cfg.courant)
-                finite_diff_vectorized(sim.mesh, s, dt, faces=faces)
+            dt = compute_timestep(sim.mesh, s, cfg.courant)
+            finite_diff_vectorized(sim.mesh, s, dt, faces=faces)
             results[mode] = s
         assert np.array_equal(results["plan"].H, results["add_at"].H)
         assert np.array_equal(results["plan"].U, results["add_at"].U)
@@ -99,15 +108,13 @@ class TestScatterPlan:
 
     def test_fallback_matches_csr(self, monkeypatch):
         # force the scipy-less branch and compare against the CSR branch
-        import repro.clamr.kernels as K
-
         if K._scipy_sparsetools is None:
             pytest.skip("scipy not available; only the fallback exists")
         plan, low, high, sizes = self._plan()
         flux = np.linspace(-1, 1, 4)
         a = np.zeros(plan.ncells)
         plan.apply(a, flux)
-        monkeypatch.setattr(K, "_scipy_sparsetools", None)
+        force_add_at(monkeypatch)
         b = np.zeros(plan.ncells)
         plan.apply(b, flux)
         assert np.array_equal(a, b)
@@ -171,8 +178,3 @@ class TestMassContributions:
         contrib = state.mass_contributions(area)
         assert contrib.dtype == np.float64
         assert state.total_mass(area) == float(dd_sum(contrib))
-
-    def test_scatter_mode_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with scatter_mode("fancy"):
-                pass

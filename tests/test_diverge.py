@@ -299,12 +299,15 @@ class TestInSimSites:
         assert "self/rk3_step" in names
         assert STATE_SITE in names
 
-    def test_in_sim_sites_bisect_below_state(self, tmp_path):
-        # two different scatter backends must be bit-identical (CSR plan
-        # kernels were built for exactly this); the ladder proves it at
-        # kernel-site granularity
-        a = record_run(None, scatter="plan", **QUICK)
-        b = record_run(None, scatter="add_at", **QUICK)
+    def test_in_sim_sites_bisect_below_state(self, monkeypatch):
+        # the CSR scatter plan and ScatterPlan's np.add.at branch (forced
+        # by hiding scipy's kernels) must be bit-identical; the ladder
+        # proves it at kernel-site granularity
+        import repro.clamr.kernels as K
+
+        a = record_run(None, **QUICK)
+        monkeypatch.setattr(K, "_scipy_sparsetools", None)
+        b = record_run(None, **QUICK)
         report = compare_ladders(a.ladder, b.ladder)
         assert not report.diverged, report.summary()
 
@@ -335,6 +338,23 @@ class TestReplay:
         report = replay(tmp_path / "clean", tmp_path / "faulted")
         assert report.ckpt_a is None and report.ckpt_b is None
         assert report.refined.divergence.step == 2
+
+    def test_run_doc_with_scatter_key_still_replays(self, tmp_path):
+        # run.json files written before the scatter switch was removed
+        # carry a "scatter" key; they must load and replay unchanged
+        import json
+
+        kwargs = dict(QUICK, steps=8, hash_stride=4, checkpoint_interval=4)
+        record_run(tmp_path / "clean", **kwargs)
+        record_run(tmp_path / "faulted", plan=plan_of("bitflip:H:6"), **kwargs)
+        for name, scatter in (("clean", "plan"), ("faulted", "add_at")):
+            path = tmp_path / name / "run.json"
+            doc = json.loads(path.read_text())
+            doc["scatter"] = scatter
+            path.write_text(json.dumps(doc))
+        report = replay(tmp_path / "clean", tmp_path / "faulted")
+        assert report.refined.divergence.step == 6
+        assert report.ckpt_a == 4 and report.ckpt_b == 4
 
     def test_clean_pair_skips_replay(self, tmp_path):
         record_run(tmp_path / "a", **QUICK)

@@ -2,7 +2,8 @@
 
 The reproducibility contract extends to scenarios: running a scenario
 under worker processes (``jobs=2``) or under the CSR scatter plan must
-produce *bit-identical* state to the serial / ``np.add.at`` reference.
+produce *bit-identical* state to the serial / ``np.add.at`` reference
+(ScatterPlan's own add.at branch, forced by hiding scipy's kernels).
 These are the same guarantees the seed workloads already make
 (test_harness_sweeps, test_clamr_scatter), re-asserted over the
 registry so a new scenario cannot silently opt out of them.
@@ -11,7 +12,7 @@ registry so a new scenario cannot silently opt out of them.
 import numpy as np
 import pytest
 
-from repro.clamr.kernels import scatter_mode
+import repro.clamr.kernels as K
 from repro.harness.experiments import run_clamr_levels, run_self_precisions
 from repro.scenarios import build_simulation, scenario_names
 
@@ -52,14 +53,15 @@ class TestProcessParallelParity:
 class TestScatterModeParity:
     @pytest.mark.parametrize("name", CLAMR_SCENARIOS)
     @pytest.mark.parametrize("policy", ["min", "full"])
-    def test_plan_vs_add_at_bit_identical(self, name, policy):
+    def test_plan_vs_add_at_bit_identical(self, monkeypatch, name, policy):
         states = {}
         for mode in ("plan", "add_at"):
-            with scatter_mode(mode):
-                sim, _cfg, _steps, _policy = build_simulation(
-                    name, scale="quick", policy=policy
-                )
-                sim.run(STEPS)
+            if mode == "add_at":
+                monkeypatch.setattr(K, "_scipy_sparsetools", None)
+            sim, _cfg, _steps, _policy = build_simulation(
+                name, scale="quick", policy=policy
+            )
+            sim.run(STEPS)
             states[mode] = (
                 sim.state.H.copy(), sim.state.U.copy(), sim.state.V.copy()
             )
