@@ -20,6 +20,9 @@ neighbor, when it exists, is reachable as ``ntop[nlft[c]]`` etc.
 Boundary cells point to **themselves** on their outer sides (CLAMR's
 sentinel for reflective walls); kernels test ``nlft[c] == c``.
 
+The hash build is also the validity check, by counting: the cells paint
+Σ span² pixels, so fewer distinct ones means overlap; a -1 left is a gap.
+
 Everything here is integer mesh topology; the floating-point state lives in
 :mod:`repro.clamr.state` so that mesh operations are precision-independent.
 """
@@ -160,32 +163,26 @@ class AmrMesh:
         hash double as the mesh validity check, exactly the role it plays
         in CLAMR's own debug builds.
 
-        Painting is vectorized per refinement level (one fancy-indexed
-        block scatter for all cells of a level at once) — the hash rebuild
-        is on the regrid path and a per-cell Python loop dominated regrid
-        cost on large meshes.  Validation is done by pixel counting:
-        every painted pixel must be painted exactly once and none left
-        empty, which catches both overlaps and gaps.
+        Each level is painted with one assignment through a view of the
+        image as ``span × span`` blocks.  Validation is by counting:
+        ``_validate_bounds`` puts every cell inside the domain, so the
+        cells paint Σ span² pixels with multiplicity, and fewer distinct
+        painted pixels than that means some pixel was painted twice
+        (overlap, reported first); a pixel still at -1 is a gap.
         """
-        span = self.cell_span_fine().astype(np.int64)
-        i0 = self.i.astype(np.int64) * span
-        j0 = self.j.astype(np.int64) * span
-        image = np.full((self.nyf, self.nxf), -1, dtype=np.int64)
-        paint_count = np.zeros((self.nyf, self.nxf), dtype=np.int32)
-        cells = np.arange(self.ncells, dtype=np.int64)
+        nyf, nxf = self.nyf, self.nxf
+        image = np.full((nyf, nxf), -1, dtype=np.int64)
+        paints = 0
         for lvl in np.unique(self.level):
             sel = np.flatnonzero(self.level == lvl)
-            s = int(span[sel[0]])
-            offsets = np.arange(s, dtype=np.int64)
-            rows = (j0[sel][:, None] + offsets[None, :])  # (ncells_lvl, s)
-            cols = (i0[sel][:, None] + offsets[None, :])
-            ridx = np.repeat(rows[:, :, None], s, axis=2)
-            cidx = np.repeat(cols[:, None, :], s, axis=1)
-            image[ridx, cidx] = cells[sel][:, None, None]
-            np.add.at(paint_count, (ridx, cidx), 1)
-        if (paint_count > 1).any():
+            s = 1 << (self.max_level - int(lvl))
+            blocks = image.reshape(nyf // s, s, nxf // s, s)
+            blocks[self.j[sel], :, self.i[sel], :] = sel[:, None, None]
+            paints += sel.size * s * s
+        empty = int(np.count_nonzero(image < 0))
+        if paints > nxf * nyf - empty:
             raise ValueError("mesh cells overlap")
-        if (paint_count == 0).any():
+        if empty:
             raise ValueError("mesh does not cover the domain (gaps present)")
         return image
 

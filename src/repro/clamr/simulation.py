@@ -505,11 +505,11 @@ class ClamrSimulation:
                     if flight is not None and flight.should_sample(self.step_count):
                         self._flight_sample(flight, dt, drift)
         elapsed = time.perf_counter() - t_start
-        if record_mass:
-            mass_history.append(self._measured_mass(area, tel))
-
-        field = self.mesh.sample_to_uniform(self.state.H.astype(self.policy.graphics_dtype))
-        field_precise = self.mesh.sample_to_uniform(self.state.H.astype(np.float64))
+        with tel.span("clamr/finalize"):
+            if record_mass:
+                mass_history.append(self._measured_mass(area, tel))
+            field = self.mesh.sample_to_uniform(self.state.H.astype(self.policy.graphics_dtype))
+            field_precise = self.mesh.sample_to_uniform(self.state.H.astype(np.float64))
         slice_precise = field_precise[:, field_precise.shape[1] // 2].copy()
         workload.resident_state_bytes = self.state.nbytes() + self.mesh.memory_nbytes()
         return SimulationResult(

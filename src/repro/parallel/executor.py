@@ -81,8 +81,8 @@ class SweepWorkerError(RuntimeError):
     callers keep their exception types).
 
     Attribution note: when a pool breaks, *every* unfinished future fails
-    at once; the error names the earliest unfinished task in submission
-    order, which is the task whose result was lost first.
+    at once; the earliest of them re-runs alone in a fresh one-worker
+    pool and is reported as ``crashed`` only if it dies again.
     """
 
     def __init__(self, task_name: str, index: int, cause: BaseException, crashed: bool):
@@ -244,9 +244,8 @@ class SweepExecutor:
         going — after a worker death the pool is rebuilt and the
         remaining tasks resubmitted, so one poison task cannot sink the
         sweep.  Callers filter with ``isinstance(result,
-        SweepWorkerError)``.  Note that tasks that were in flight in
-        *other* workers when a pool broke are re-executed — at-least-once
-        semantics past a crash, exactly-once otherwise.
+        SweepWorkerError)``.  In-flight tasks re-run past a crash (the
+        first alone, to find the culprit): at-least-once, else exactly-once.
         """
         if on_error not in ("raise", "continue"):
             raise ValueError(
@@ -273,9 +272,9 @@ class SweepExecutor:
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         ctx = mp.get_context(method)
 
-        def new_pool():
+        def new_pool(workers: int = jobs):
             return concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, mp_context=ctx
+                max_workers=workers, mp_context=ctx
             )
 
         pool = new_pool()
@@ -284,26 +283,28 @@ class SweepExecutor:
         try:
             while index < len(tasks):
                 task = tasks[index]
+                rerun = False
                 try:
-                    result = futures[index].result()
+                    try:
+                        result = futures[index].result()
+                    except (BrokenProcessPool, concurrent.futures.BrokenExecutor):
+                        # a worker death fails every unfinished future:
+                        # re-run this one alone, blame it if it dies again
+                        pool.shutdown(wait=False)
+                        rerun, pool = True, new_pool(1)
+                        result = pool.submit(task.run).result()
                 except (BrokenProcessPool, concurrent.futures.BrokenExecutor) as exc:
-                    failure = SweepWorkerError(task.name, index, exc, crashed=True)
+                    result = SweepWorkerError(task.name, index, exc, crashed=True)
                     if on_error == "raise":
-                        raise failure from exc
-                    yield task, failure
-                    index += 1
-                    # the broken pool poisoned every unfinished future:
-                    # rebuild and resubmit the rest of the sweep
-                    pool.shutdown(wait=False)
-                    pool = new_pool()
-                    futures[index:] = [pool.submit(t.run) for t in tasks[index:]]
-                    continue
+                        raise result from exc
                 except Exception as exc:
                     if on_error == "raise":
                         raise
-                    yield task, SweepWorkerError(task.name, index, exc, crashed=False)
-                    index += 1
-                    continue
+                    result = SweepWorkerError(task.name, index, exc, crashed=False)
+                if rerun:
+                    pool.shutdown(wait=True)
+                    pool = new_pool()
+                    futures[index + 1 :] = [pool.submit(t.run) for t in tasks[index + 1 :]]
                 yield task, result
                 index += 1
         finally:

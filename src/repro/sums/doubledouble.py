@@ -161,12 +161,14 @@ def dd_sum(values: np.ndarray) -> DoubleDouble:
     light" used for reproducible-accurate conservation sums.  Error is
     bounded by the double-double roundoff (~2**-106 relative), i.e. exact
     for any physically meaningful simulation sum.
+
+    The sequential loop is replayed bit for bit in NumPy: ``add.accumulate``
+    is a strict left fold.  Not correctly rounded, so not ``math.fsum``.
     """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    hi = 0.0
-    lo = 0.0
-    for x in arr:
-        s, e = two_sum(hi, float(x))
-        hi = s
-        lo += e
-    return DoubleDouble._renorm(hi, lo)
+    x = np.asarray(values, dtype=np.float64).ravel()
+    with np.errstate(all="ignore"):
+        hi = np.add.accumulate(np.concatenate(([0.0], x)))
+        bb = hi[1:] - hi[:-1]
+        e = (hi[:-1] - (hi[1:] - bb)) + (x - bb)  # two_sum's errors, elementwise
+        lo = np.add.accumulate(np.concatenate(([0.0], e)))[-1]
+    return DoubleDouble._renorm(float(hi[-1]), float(lo))

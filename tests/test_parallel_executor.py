@@ -401,6 +401,13 @@ def _suicide(i):
     return i
 
 
+def _suicide_while_zero_sleeps(i):
+    # task 0 is still running in the other worker when task 1 kills its own
+    if i == 0:
+        time.sleep(1.0)
+    return _suicide(i)
+
+
 class TestWorkerFailureModes:
     """SweepWorkerError: typed worker deaths, and continue-past-failures."""
 
@@ -441,6 +448,20 @@ class TestWorkerFailureModes:
         # once past a crash), but every surviving position reports its
         # own value in order
         assert clean == [i for i in range(5) if i != 1]
+
+    def test_in_flight_task_is_not_blamed_for_a_crash(self):
+        # the crash fails task 0's future too; re-run alone, it succeeds
+        tasks = self._tasks(_suicide_while_zero_sleeps, n=4)
+        results = SweepExecutor(2).map(tasks, on_error="continue")
+        assert results[0] == 0
+        assert isinstance(results[1], SweepWorkerError) and results[1].crashed
+        assert results[2:] == [2, 3]
+
+    def test_raise_path_names_the_task_that_crashed(self):
+        tasks = self._tasks(_suicide_while_zero_sleeps, n=3)
+        with pytest.raises(SweepWorkerError) as err:
+            SweepExecutor(2).map(tasks)
+        assert (err.value.index, err.value.crashed) == (1, True)
 
     def test_on_error_argument_validated(self):
         with pytest.raises(ValueError, match="on_error"):

@@ -17,6 +17,30 @@ moderate_floats = st.floats(
 nonvanishing = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100
 ).filter(lambda x: x == 0.0 or abs(x) >= 1e-80)
+# every float64 class dd_sum can meet: signed zeros, subnormals, ±inf,
+# NaN, overflowing partial sums, and magnitudes mixed up to 1e300
+any_float64 = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308, -1e308]),
+)
+
+
+def loop_dd_sum(values) -> DoubleDouble:
+    """The sequential TwoSum loop that dd_sum replays: the bitwise reference."""
+    hi = 0.0
+    lo = 0.0
+    for x in np.asarray(values, dtype=np.float64).ravel():
+        s, e = two_sum(hi, float(x))
+        hi = s
+        lo += e
+    return DoubleDouble._renorm(hi, lo)
+
+
+def words(dd: DoubleDouble) -> tuple[str, str]:
+    """hi and lo as hex; every NaN reads "nan"."""
+    return dd.hi.hex(), dd.lo.hex()
 
 
 class TestTwoSum:
@@ -134,3 +158,26 @@ class TestDdSum:
         result = float(dd_sum(np.array(values, dtype=np.float64)))
         exact = math.fsum(values)
         assert result == pytest.approx(exact, rel=4 * np.finfo(np.float64).eps, abs=1e-290)
+
+
+class TestDdSumIsTheLoop:
+    """dd_sum gives the sequential TwoSum loop's hi and lo words bit for bit."""
+
+    @given(st.lists(any_float64, min_size=0, max_size=200))
+    @settings(max_examples=400, deadline=None)
+    def test_property_bitwise_equal_to_loop(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert words(dd_sum(x)) == words(loop_dd_sum(x))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [-0.0], [-0.0, -0.0], [0.0, -0.0], [math.nan], [math.inf, -math.inf],
+         [1e308, 1e308, -1e308], [5e-324, -5e-324, 1e-310],
+         np.random.default_rng(11).normal(size=20_000)
+         * 10.0 ** np.random.default_rng(12).integers(-300, 300, size=20_000),
+         np.arange(12, dtype=np.float32).reshape(3, 4) / 7],
+        ids=["empty", "neg-zero", "neg-zeros", "mixed-zeros", "nan", "inf-minus-inf",
+             "overflow", "subnormals", "wide-dynamic-range", "float32-2d"],
+    )
+    def test_cases_bitwise_equal_to_loop(self, values):
+        assert words(dd_sum(values)) == words(loop_dd_sum(values))

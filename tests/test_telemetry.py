@@ -425,6 +425,18 @@ class TestClamrIntegration:
         np.testing.assert_array_equal(traced.slice_precise, plain.slice_precise)
         assert traced.profile.flops == plain.profile.flops
 
+    def test_end_of_run_is_spanned(self, traced_run):
+        # the final mass sum and the uniform resampling sit in a root
+        # span after clamr/run, so the root spans cover the whole run
+        tel, _ = traced_run
+        spans = tel.tracer.spans
+        [finalize] = [s for s in spans if s.name == "clamr/finalize"]
+        [run] = [s for s in spans if s.name == "clamr/run"]
+        assert finalize.parent_id is None and finalize.start_s >= run.end_s
+        last_sum = [s for s in spans if s.name == "clamr/mass_sum"][-1]
+        assert last_sum.parent_id == finalize.span_id
+        assert span_summary(tel).row_by_label("clamr/finalize")[1] == 1
+
     def test_muscl_spans(self):
         tel = Telemetry(label="clamr/muscl")
         sim = ClamrSimulation(
