@@ -508,8 +508,10 @@ class ClamrSimulation:
         with tel.span("clamr/finalize"):
             if record_mass:
                 mass_history.append(self._measured_mass(area, tel))
-            field = self.mesh.sample_to_uniform(self.state.H.astype(self.policy.graphics_dtype))
-            field_precise = self.mesh.sample_to_uniform(self.state.H.astype(np.float64))
+            # one hash image serves both resamples
+            image = self.mesh.build_hash()
+            field = self.state.H.astype(self.policy.graphics_dtype)[image]
+            field_precise = self.state.H.astype(np.float64)[image]
         slice_precise = field_precise[:, field_precise.shape[1] // 2].copy()
         workload.resident_state_bytes = self.state.nbytes() + self.mesh.memory_nbytes()
         return SimulationResult(

@@ -89,6 +89,76 @@ def _require_file(path, what: str):
     return p
 
 
+_LEVELS = ("min", "mixed", "full")
+_ALL_LEVELS = ("half", *_LEVELS)
+#: ``_workload_flags`` default marking a flag the subcommand requires
+_REQUIRED = object()
+
+#: The flags every workload-running subcommand shares: option string and
+#: argparse keywords.  Defaults (and the --policy choices) come from the
+#: subcommand; see :func:`_workload_flags`.
+_WORKLOAD_FLAGS = {
+    "nx": ("--nx", {"type": int, "help": "CLAMR coarse grid per side"}),
+    "steps": ("--steps", {"type": int, "help": "time steps to run"}),
+    "max_level": ("--max-level", {"type": int, "help": "CLAMR AMR refinement levels"}),
+    "policy": ("--policy", {
+        "help": "precision level (CLAMR policy; where SELF takes no --precision, "
+                "half/min/mixed mean single)",
+    }),
+    "scheme": ("--scheme", {"choices": ("rusanov", "muscl"), "help": "CLAMR flux scheme"}),
+    "elems": ("--elems", {"type": int, "help": "SELF elements per side"}),
+    "order": ("--order", {"type": int, "help": "SELF polynomial order"}),
+    "precision": ("--precision", {
+        "choices": ("single", "double"), "help": "SELF floating-point precision",
+    }),
+    "seed": ("--seed", {
+        "type": int,
+        "help": "run seed (a fingerprint input; resolves random fault element/bit choices)",
+    }),
+    "scenario": ("--scenario", {
+        "metavar": "NAME",
+        "help": "run a registered scenario instead of the workload's seed case "
+                "(see 'repro scenario list')",
+    }),
+    "ledger": ("--ledger", {"metavar": "PATH", "help": "run ledger: a .jsonl file or a directory"}),
+    "backend": ("--backend", {
+        "metavar": "NAME",
+        "help": "kernel backend: numpy|python|cext|auto (default: $REPRO_KERNEL_BACKEND, "
+                "else numpy; see 'repro backends')",
+    }),
+    "flight": ("--flight", {
+        "metavar": "FILE",
+        "help": "record the numerics flight timeline and write it here "
+                "(.jsonl; see 'repro flight report')",
+    }),
+    "flight_stride": ("--flight-stride", {
+        "type": int, "metavar": "N",
+        "help": "flight-recorder sampling stride in steps (default %(default)s)",
+    }),
+}
+
+
+def _workload_flags(
+    p: argparse.ArgumentParser, *, policies=_LEVELS, **defaults
+) -> None:
+    """Declare the shared workload flags ``defaults`` names, in that order.
+
+    Each keyword is a flag's dest and its default for this subcommand
+    (:data:`_REQUIRED` makes the flag required); ``policies`` are the
+    ``--policy`` choices (``None``: any name).
+    """
+    for dest, default in defaults.items():
+        flag, kwargs = _WORKLOAD_FLAGS[dest]
+        kwargs = dict(kwargs)
+        if dest == "policy":
+            kwargs["choices"] = policies
+        if default is _REQUIRED:
+            kwargs["required"] = True
+        else:
+            kwargs["default"] = default
+        p.add_argument(flag, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -97,42 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     clamr = sub.add_parser("clamr", help="run the CLAMR dam break")
-    clamr.add_argument("--nx", type=int, default=32)
-    clamr.add_argument("--steps", type=int, default=200)
-    clamr.add_argument("--max-level", type=int, default=2)
-    clamr.add_argument("--policy", default="full", choices=("min", "mixed", "full"))
-    clamr.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
+    _workload_flags(clamr, nx=32, steps=200, max_level=2, policy="full", scheme="rusanov")
     clamr.add_argument("--scalar", action="store_true", help="use the unvectorized kernel")
     clamr.add_argument("--checkpoint", default=None, help="write a checkpoint here")
-    clamr.add_argument("--ledger", default=None, metavar="PATH",
-                       help="trace the run and append a run record to this ledger")
-    clamr.add_argument("--flight", default=None, metavar="FILE",
-                       help="record the numerics flight timeline and write it here "
-                            "(.jsonl; see 'repro flight report')")
-    clamr.add_argument("--flight-stride", type=int, default=4, metavar="N",
-                       help="flight sampling stride in steps (default 4)")
-    clamr.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|auto "
-                            "(default: $REPRO_KERNEL_BACKEND, else numpy; "
-                            "see 'repro backends')")
+    _workload_flags(clamr, ledger=None, flight=None, flight_stride=4, backend=None)
 
     selfp = sub.add_parser("self", help="run the SELF thermal bubble")
-    selfp.add_argument("--elems", type=int, default=4)
-    selfp.add_argument("--order", type=int, default=4)
-    selfp.add_argument("--steps", type=int, default=100)
-    selfp.add_argument("--precision", default="double", choices=("single", "double"))
+    _workload_flags(selfp, elems=4, order=4, steps=100, precision="double")
     selfp.add_argument("--viscosity", type=float, default=0.0)
-    selfp.add_argument("--ledger", default=None, metavar="PATH",
-                       help="trace the run and append a run record to this ledger")
-    selfp.add_argument("--flight", default=None, metavar="FILE",
-                       help="record the numerics flight timeline and write it here "
-                            "(.jsonl; see 'repro flight report')")
-    selfp.add_argument("--flight-stride", type=int, default=4, metavar="N",
-                       help="flight sampling stride in steps (default 4)")
-    selfp.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|auto "
-                            "(default: $REPRO_KERNEL_BACKEND, else numpy; "
-                            "see 'repro backends')")
+    _workload_flags(selfp, ledger=None, flight=None, flight_stride=4, backend=None)
 
     sub.add_parser("devices", help="list the simulated architectures")
 
@@ -158,10 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--hash-stride", type=int, default=0, metavar="N",
                        help="hash every Nth step (default: every step when "
                             "--hash-dir is set)")
-    table.add_argument("--scenario", default="", metavar="NAME",
-                       help="run a registered scenario instead of the seed case "
-                            "(tables 1/2 take clamr/*, tables 5/6 take self/*; "
-                            "see 'repro scenario list')")
+    _workload_flags(table, scenario="")
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("number", type=int, choices=range(1, 6))
@@ -177,13 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--hash-stride", type=int, default=0, metavar="N",
                         help="hash every Nth step (default: every step when "
                              "--hash-dir is set)")
-    figure.add_argument("--scenario", default="", metavar="NAME",
-                        help="run a registered scenario instead of the seed case "
-                             "(figures 1/2 take clamr/*, figures 4/5 take self/*)")
+    _workload_flags(figure, scenario="")
 
     compare = sub.add_parser("compare", help="fidelity comparison of two precision levels")
-    compare.add_argument("--nx", type=int, default=48)
-    compare.add_argument("--steps", type=int, default=300)
+    _workload_flags(compare, nx=48, steps=300)
     compare.add_argument("--levels", default="min,full", help="comma-separated pair")
 
     validate = sub.add_parser("validate", help="check every paper claim against a fresh run")
@@ -194,14 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="run a workload with telemetry and report the trace")
     trace.add_argument("workload", choices=("clamr", "self"))
-    trace.add_argument("--nx", type=int, default=64, help="CLAMR coarse grid per side")
-    trace.add_argument("--steps", type=int, default=100)
-    trace.add_argument("--max-level", type=int, default=2)
-    trace.add_argument("--policy", default="full", choices=("min", "mixed", "full"))
-    trace.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    trace.add_argument("--elems", type=int, default=3, help="SELF elements per side")
-    trace.add_argument("--order", type=int, default=3, help="SELF polynomial order")
-    trace.add_argument("--precision", default="double", choices=("single", "double"))
+    _workload_flags(
+        trace, nx=64, steps=100, max_level=2, policy="full", scheme="rusanov",
+        elems=3, order=3, precision="double",
+    )
     trace.add_argument("--stride", type=int, default=4, help="numerics watchpoint stride (steps)")
     trace.add_argument("--out", default=None, metavar="FILE",
                        help="write a Chrome-trace JSON (load in ui.perfetto.dev)")
@@ -213,14 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--strict-headroom-bits", type=float, default=2.0, metavar="N",
                        help="with --strict, overflow_risk events with less than N bits "
                             "of dynamic-range headroom left are fatal (default 2)")
-    trace.add_argument("--flight", default=None, metavar="FILE",
-                       help="record the numerics flight timeline and write it here "
-                            "(.jsonl; see 'repro flight report')")
-    trace.add_argument("--flight-stride", type=int, default=4, metavar="N",
-                       help="flight sampling stride in steps (default 4)")
-    trace.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend: numpy|python|cext|auto "
-                            "(default: $REPRO_KERNEL_BACKEND, else numpy)")
+    _workload_flags(trace, flight=None, flight_stride=4, backend=None)
 
     flight = sub.add_parser(
         "flight", help="flight-recorder timelines: report, digest, compare, export"
@@ -261,44 +287,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     lrec = lsub.add_parser("record", help="run a workload and append a run record")
     lrec.add_argument("workload", choices=("clamr", "self"))
-    lrec.add_argument("--ledger", required=True, metavar="PATH",
-                      help="ledger file (.jsonl) or directory")
+    _workload_flags(lrec, ledger=_REQUIRED)
     lrec.add_argument("--runs", type=int, default=1, help="record this many repeat runs")
-    lrec.add_argument("--seed", type=int, default=0, help="workload seed (fingerprint input)")
+    _workload_flags(lrec, seed=0)
     lrec.add_argument("--stride", type=int, default=4, help="numerics watchpoint stride")
-    lrec.add_argument("--flight-stride", type=int, default=0, metavar="N",
-                      help="attach a flight recorder sampling every N steps (0 "
-                           "disables); its digest lands in the record's fidelity")
+    _workload_flags(lrec, flight_stride=0)
     lrec.add_argument("--trace-dir", default=None, metavar="DIR",
                       help="also persist Chrome-trace + JSONL telemetry per run")
-    lrec.add_argument("--nx", type=int, default=24, help="CLAMR coarse grid per side")
-    lrec.add_argument("--steps", type=int, default=40)
-    lrec.add_argument("--max-level", type=int, default=1)
-    lrec.add_argument("--policy", default="mixed", choices=("min", "mixed", "full"))
-    lrec.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    lrec.add_argument("--elems", type=int, default=3, help="SELF elements per side")
-    lrec.add_argument("--order", type=int, default=3, help="SELF polynomial order")
-    lrec.add_argument("--precision", default="double", choices=("single", "double"))
-    lrec.add_argument("--backend", default=None, metavar="NAME",
-                      help="kernel backend: numpy|python|cext|auto "
-                           "(default: $REPRO_KERNEL_BACKEND, else numpy; recorded "
-                           "on the record's 'backend' field, excluded from its "
-                           "fingerprint)")
+    _workload_flags(
+        lrec, nx=24, steps=40, max_level=1, policy="mixed", scheme="rusanov",
+        elems=3, order=3, precision="double", backend=None,
+    )
 
     lrep = lsub.add_parser("report", help="terminal dashboard: trends + sparklines")
-    lrep.add_argument("--ledger", required=True, metavar="PATH")
+    _workload_flags(lrep, ledger=_REQUIRED)
     lrep.add_argument("--last", type=int, default=12, help="runs per workload in the trend")
 
     lcmp = lsub.add_parser("compare", help="per-kernel deltas between two fingerprints")
     lcmp.add_argument("a", metavar="FINGERPRINT_A", help="fingerprint (prefix ok)")
     lcmp.add_argument("b", metavar="FINGERPRINT_B", help="fingerprint (prefix ok)")
-    lcmp.add_argument("--ledger", required=True, metavar="PATH")
+    _workload_flags(lcmp, ledger=_REQUIRED)
 
     lgate = lsub.add_parser(
         "gate", help="exit nonzero on perf or fidelity regression vs a baseline ledger"
     )
-    lgate.add_argument("--ledger", required=True, metavar="PATH",
-                       help="ledger holding the current run(s)")
+    _workload_flags(lgate, ledger=_REQUIRED)
     lgate.add_argument("--baseline", required=True, metavar="PATH",
                        help="committed baseline ledger to gate against")
     lgate.add_argument("--rel-floor", type=float, default=0.10,
@@ -312,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fail (instead of skip) workloads missing from the baseline")
 
     lexp = lsub.add_parser("export-bench", help="write the BENCH_observatory.json trajectory")
-    lexp.add_argument("--ledger", required=True, metavar="PATH")
+    _workload_flags(lexp, ledger=_REQUIRED)
     lexp.add_argument("--out", default="BENCH_observatory.json", metavar="FILE")
     lexp.add_argument("--window", type=int, default=10,
                       help="median window (runs per workload, default 10)")
@@ -324,26 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _resil_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("workload", choices=("clamr", "self"))
-        p.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
-        p.add_argument("--steps", type=int, default=24)
-        p.add_argument("--max-level", type=int, default=1)
-        p.add_argument("--policy", default="min", choices=("half", "min", "mixed", "full"),
-                       help="starting precision level (clamr; half/min/mixed map to "
-                            "single for self)")
-        p.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-        p.add_argument("--elems", type=int, default=2, help="SELF elements per side")
-        p.add_argument("--order", type=int, default=3, help="SELF polynomial order")
+        _workload_flags(
+            p, policies=_ALL_LEVELS, nx=16, steps=24, max_level=1, policy="min",
+            scheme="rusanov", elems=2, order=3,
+        )
         p.add_argument("--fault", action="append", default=[], metavar="SPEC",
                        help="planned fault kind:array:step[:index[:bit]]; a trailing '!' "
                             "on the kind makes it sticky (re-fires after rollback); "
                             "repeatable")
         p.add_argument("--faults", type=int, default=0, metavar="N",
                        help="additionally draw N random faults from --seed")
-        p.add_argument("--seed", type=int, default=0,
-                       help="plan seed: resolves random element/bit choices")
-        p.add_argument("--scenario", default="", metavar="NAME",
-                       help="inject into a registered scenario instead of the "
-                            "workload's seed case (see 'repro scenario list')")
+        _workload_flags(p, seed=0, scenario="")
 
     rinj = rsub.add_parser(
         "inject", help="inject faults with detectors but no recovery (probe run)"
@@ -369,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(retry | halve_dt | escalate)")
     rrun.add_argument("--max-rollbacks", type=int, default=12)
     rrun.add_argument("--conservation-bound", type=float, default=1e-4, metavar="REL")
-    rrun.add_argument("--ledger", default=None, metavar="PATH",
-                      help="append the supervised run's record to this ledger")
+    _workload_flags(rrun, ledger=None)
     rrun.add_argument("--label", default=None, help="ledger record label")
 
     rcamp = rsub.add_parser(
@@ -383,20 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     rcamp.add_argument("--levels", default="min,mixed,full", metavar="L,...",
                        help="precision levels to sweep")
     rcamp.add_argument("--trials", type=int, default=1, help="cells per sweep point")
-    rcamp.add_argument("--steps", type=int, default=24)
+    _workload_flags(rcamp, steps=24)
     rcamp.add_argument("--fault-step", type=int, default=0,
                        help="step each fault lands on (default: mid-run)")
-    rcamp.add_argument("--seed", type=int, default=0)
-    rcamp.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
-    rcamp.add_argument("--max-level", type=int, default=1)
-    rcamp.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    rcamp.add_argument("--elems", type=int, default=2, help="SELF elements per side")
-    rcamp.add_argument("--order", type=int, default=3, help="SELF polynomial order")
-    rcamp.add_argument("--scenario", default="", metavar="NAME",
-                       help="sweep faults over a registered scenario instead of "
-                            "the workload's seed case")
-    rcamp.add_argument("--ledger", default=None, metavar="PATH",
-                       help="append one record per completed cell to this ledger")
+    _workload_flags(
+        rcamp, seed=0, nx=16, max_level=1, scheme="rusanov", elems=2, order=3,
+        scenario="", ledger=None,
+    )
     rcamp.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for the sweep (clamped to the cell "
                             "count; outcomes and ledger records are identical to "
@@ -417,21 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run directory to create (hashes.jsonl, run.json, "
                            "checkpoints)")
     drec.add_argument("--workload", default="clamr", choices=("clamr", "self"))
-    drec.add_argument("--steps", type=int, default=24)
-    drec.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
-    drec.add_argument("--max-level", type=int, default=1)
-    drec.add_argument("--policy", default="mixed",
-                      choices=("half", "min", "mixed", "full"),
-                      help="clamr precision level (half/min/mixed map to single "
-                           "for self)")
-    drec.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
+    _workload_flags(
+        drec, policies=_ALL_LEVELS, steps=24, nx=16, max_level=1, policy="mixed",
+        scheme="rusanov",
+    )
     drec.add_argument("--scalar", action="store_true",
                       help="use the unvectorized clamr kernel")
-    drec.add_argument("--elems", type=int, default=3, help="SELF elements per side")
-    drec.add_argument("--order", type=int, default=3, help="SELF polynomial order")
-    drec.add_argument("--precision", default="double", choices=("single", "double"))
-    drec.add_argument("--seed", type=int, default=0,
-                      help="fault-plan seed (resolves random element/bit choices)")
+    _workload_flags(drec, elems=3, order=3, precision="double", seed=0)
     drec.add_argument("--hash-stride", type=int, default=1, metavar="N",
                       help="hash every Nth step (default 1: every step)")
     drec.add_argument("--hash-chunk", type=int, default=4096, metavar="ELEMS",
@@ -444,9 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "completes; trailing '!' on the kind = sticky; "
                            "repeatable")
     drec.add_argument("--label", default="", help="label stored in the hash stream")
-    drec.add_argument("--scenario", default="", metavar="NAME",
-                      help="record a registered scenario instead of the "
-                           "workload's seed case")
+    _workload_flags(drec, scenario="")
 
     dcmp = dsub.add_parser(
         "compare",
@@ -478,12 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     dons.add_argument("--pair", default=None, metavar="A,B",
                       help="precision pair (default: min,full for clamr; "
                            "single,double for self)")
-    dons.add_argument("--steps", type=int, default=24)
-    dons.add_argument("--nx", type=int, default=16, help="CLAMR coarse grid per side")
-    dons.add_argument("--max-level", type=int, default=1)
-    dons.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"))
-    dons.add_argument("--elems", type=int, default=3, help="SELF elements per side")
-    dons.add_argument("--order", type=int, default=3, help="SELF polynomial order")
+    _workload_flags(
+        dons, steps=24, nx=16, max_level=1, scheme="rusanov", elems=3, order=3
+    )
     dons.add_argument("--json", default=None, metavar="FILE",
                       help="also write the onset report as JSON")
 
@@ -497,14 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     srun = ssub.add_parser("run", help="run one scenario and print a summary")
     srun.add_argument("name", metavar="NAME", help="e.g. clamr/circular-dam")
     srun.add_argument("--scale", default="quick", choices=("quick", "bench"))
-    srun.add_argument("--policy", default=None,
-                      help="precision level (default: the scenario's "
-                           "fingerprint policy)")
-    srun.add_argument("--seed", type=int, default=0,
-                      help="workload seed (fingerprint input)")
-    srun.add_argument("--ledger", default=None, metavar="PATH",
-                      help="run under telemetry and append a fingerprinted "
-                           "run record to this ledger")
+    _workload_flags(srun, policies=None, policy=None, seed=0, ledger=None)
 
     sval = ssub.add_parser(
         "validate", help="apply each scenario's acceptance contract (exit 1 on failure)"
@@ -530,31 +506,22 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("workload", choices=("clamr", "self"))
     submit.add_argument("--queue", required=True, metavar="DIR",
                         help="queue root directory (created if missing)")
-    submit.add_argument("--steps", type=int, default=40)
-    submit.add_argument("--seed", type=int, default=0)
+    _workload_flags(submit, steps=40, seed=0)
     submit.add_argument("--watch-stride", type=int, default=4)
     submit.add_argument("--label", default="", help="display label for the job")
     submit.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="submit N copies (duplicates are deduplicated by "
                              "scope-based claiming and served from cache)")
-    submit.add_argument("--nx", type=int, default=24, help="clamr: coarse grid size")
-    submit.add_argument("--max-level", type=int, default=1, help="clamr: AMR levels")
-    submit.add_argument("--policy", default="mixed",
-                        choices=("half", "min", "mixed", "full"),
-                        help="clamr: precision policy")
-    submit.add_argument("--scheme", default="rusanov", choices=("rusanov", "muscl"),
-                        help="clamr: flux scheme")
-    submit.add_argument("--elems", type=int, default=3, help="self: elements per axis")
-    submit.add_argument("--order", type=int, default=3, help="self: polynomial order")
-    submit.add_argument("--precision", default="double", choices=("single", "double"),
-                        help="self: floating-point precision")
+    _workload_flags(
+        submit, policies=_ALL_LEVELS, nx=24, max_level=1, policy="mixed",
+        scheme="rusanov", elems=3, order=3, precision="double",
+    )
 
     serve = sub.add_parser(
         "serve", help="run a sweep-service worker loop against a queue"
     )
     serve.add_argument("--queue", required=True, metavar="DIR")
-    serve.add_argument("--ledger", default=None, metavar="PATH",
-                       help="append each computed run record to this ledger")
+    _workload_flags(serve, ledger=None)
     serve.add_argument("--cache", default=None, metavar="DIR",
                        help="result cache directory (default <queue>/.cache)")
     serve.add_argument("--max-jobs", type=int, default=0, metavar="N",
@@ -587,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(exit 1 if anything failed or was quarantined)",
     )
     qdr.add_argument("--queue", required=True, metavar="DIR")
-    qdr.add_argument("--ledger", default=None, metavar="PATH")
+    _workload_flags(qdr, ledger=None)
     qdr.add_argument("--cache", default=None, metavar="DIR")
     qdr.add_argument("--timeout", type=float, default=0.0, metavar="S",
                      help="give up after S seconds (0 = no limit)")
@@ -620,13 +587,18 @@ def _apply_backend(args: argparse.Namespace) -> None:
     os.environ[ENV_VAR] = canon
 
 
-def _make_flight(args: argparse.Namespace, label: str):
-    """A FlightRecorder from ``--flight``/``--flight-stride``, or ``None``."""
-    if not getattr(args, "flight", None):
-        return None
-    from repro.telemetry.flight import FlightRecorder
+def _telemetry(args: argparse.Namespace, label: str, watch_stride: int = 8):
+    """The run's telemetry, with a flight recorder when ``--flight`` is set."""
+    from repro.parallel.executor import TelemetrySpec
 
-    return FlightRecorder(stride=args.flight_stride, label=label)
+    flight_stride = 0
+    if args.flight:
+        if args.flight_stride < 1:
+            raise CLIError("flight stride must be at least 1")
+        flight_stride = args.flight_stride
+    return TelemetrySpec(
+        label=label, watch_stride=watch_stride, flight_stride=flight_stride
+    ).build()
 
 
 def _write_flight_file(args: argparse.Namespace, tel, indent: str = "  ") -> None:
@@ -642,18 +614,21 @@ def _write_flight_file(args: argparse.Namespace, tel, indent: str = "  ") -> Non
 
 
 def _cmd_clamr(args: argparse.Namespace) -> int:
-    from repro.clamr import ClamrSimulation, DamBreakConfig, write_checkpoint
+    from repro.clamr import write_checkpoint
+    from repro.ledger.record import workload_label
+    from repro.scenarios.runner import build_config
 
     _apply_backend(args)
+    built = build_config("clamr", nx=args.nx, max_level=args.max_level)
     tel = None
     if args.ledger or args.flight:
-        from repro.telemetry import Telemetry
-
-        label = f"clamr/nx{args.nx}s{args.steps}/{args.policy}"
-        tel = Telemetry(label=label, flight=_make_flight(args, label))
-    cfg = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=args.max_level)
-    sim = ClamrSimulation(cfg, policy=args.policy, vectorized=not args.scalar,
-                          scheme=args.scheme, telemetry=tel)
+        tel = _telemetry(args, workload_label(
+            "clamr", steps=args.steps, nx=args.nx, policy=args.policy,
+            scheme=args.scheme, vectorized=not args.scalar,
+        ))
+    sim = built.simulation(
+        args.policy, scheme=args.scheme, vectorized=not args.scalar, telemetry=tel
+    )
     res = sim.run(args.steps)
     print(f"CLAMR dam break: {args.nx}^2 coarse, {args.max_level} AMR levels, {args.steps} steps")
     print(f"  policy       : {res.policy.describe()}")
@@ -669,29 +644,39 @@ def _cmd_clamr(args: argparse.Namespace) -> int:
         nbytes = write_checkpoint(args.checkpoint, sim.mesh, sim.state)
         print(f"  checkpoint   : {args.checkpoint} ({nbytes / 1e6:.2f} MB)")
     _write_flight_file(args, tel)
-    if tel is not None and args.ledger:
-        from repro.ledger import Ledger, record_from_clamr
-
-        record = Ledger(args.ledger).append(record_from_clamr(res, tel, cfg, label=tel.label))
-        print(f"  ledger       : {args.ledger} += {record.fingerprint}")
+    _ledger_append(args, built, res, tel)
     return 0
 
 
+def _ledger_append(args: argparse.Namespace, built, res, tel) -> None:
+    """Append the run's record to ``--ledger`` and say so."""
+    if tel is None or not args.ledger:
+        return
+    from repro.ledger import Ledger
+    from repro.ledger.record import record_from_run
+
+    record = Ledger(args.ledger).append(
+        record_from_run(built.workload, res, tel, built.identity(), label=tel.label)
+    )
+    print(f"  ledger       : {args.ledger} += {record.fingerprint}")
+
+
 def _cmd_self(args: argparse.Namespace) -> int:
-    from repro.self_ import SelfSimulation, ThermalBubbleConfig
+    from repro.ledger.record import workload_label
+    from repro.scenarios.runner import build_config
 
     _apply_backend(args)
+    built = build_config(
+        "self", elems=args.elems, order=args.order, viscosity=args.viscosity
+    )
+    cfg = built.config
     tel = None
     if args.ledger or args.flight:
-        from repro.telemetry import Telemetry
-
-        label = f"self/e{args.elems}o{args.order}s{args.steps}/{args.precision}"
-        tel = Telemetry(label=label, flight=_make_flight(args, label))
-    cfg = ThermalBubbleConfig(
-        nex=args.elems, ney=args.elems, nez=args.elems, order=args.order,
-        viscosity=args.viscosity,
-    )
-    sim = SelfSimulation(cfg, precision=args.precision, telemetry=tel)
+        tel = _telemetry(args, workload_label(
+            "self", steps=args.steps, elems=args.elems, order=args.order,
+            precision=args.precision,
+        ))
+    sim = built.simulation(args.precision, telemetry=tel)
     res = sim.run(args.steps)
     dof = cfg.nex * cfg.ney * cfg.nez * (cfg.order + 1) ** 3 * 5
     print(f"SELF thermal bubble: {args.elems}^3 elements, order {args.order} ({dof} DOF)")
@@ -702,11 +687,7 @@ def _cmd_self(args: argparse.Namespace) -> int:
     print(f"  w_max        : {res.max_vertical_velocity:.4f} m/s")
     print(f"  anomaly scale: {res.anomaly_scale:.3e}")
     _write_flight_file(args, tel)
-    if tel is not None and args.ledger:
-        from repro.ledger import Ledger, record_from_self
-
-        record = Ledger(args.ledger).append(record_from_self(res, tel, cfg, label=tel.label))
-        print(f"  ledger       : {args.ledger} += {record.fingerprint}")
+    _ledger_append(args, built, res, tel)
     return 0
 
 
@@ -842,15 +823,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.clamr import ClamrSimulation, DamBreakConfig
     from repro.precision.analysis import asymmetry_signature, difference_metrics
+    from repro.scenarios.runner import build_config
 
     levels = [x.strip() for x in args.levels.split(",")]
     if len(levels) != 2:
         print("--levels expects exactly two comma-separated names", file=sys.stderr)
         return 2
-    cfg = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=2)
-    runs = {lvl: ClamrSimulation(cfg, policy=lvl).run(args.steps) for lvl in levels}
+    built = build_config("clamr", nx=args.nx, max_level=2)
+    runs = {lvl: built.simulation(lvl).run(args.steps) for lvl in levels}
     a, b = (runs[lvl] for lvl in levels)
     d = difference_metrics(b.slice_precise, a.slice_precise)
     print(f"CLAMR {args.nx}^2, {args.steps} steps: {levels[0]} vs {levels[1]}")
@@ -882,8 +863,8 @@ def _strict_failures(tel, headroom_bits: float):
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     _apply_backend(args)
+    from repro.scenarios.runner import build_config
     from repro.telemetry import (
-        Telemetry,
         event_report,
         span_summary,
         span_tree,
@@ -891,32 +872,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    if args.workload == "clamr":
-        from repro.clamr import ClamrSimulation, DamBreakConfig
-
-        label = f"clamr/dam_break/{args.policy}"
-        tel = Telemetry(
-            label=label, watch_stride=args.stride, flight=_make_flight(args, label)
-        )
-        cfg = DamBreakConfig(nx=args.nx, ny=args.nx, max_level=args.max_level)
-        sim = ClamrSimulation(cfg, policy=args.policy, scheme=args.scheme, telemetry=tel)
-        res = sim.run(args.steps)
+    built = build_config(
+        args.workload, nx=args.nx, max_level=args.max_level, elems=args.elems,
+        order=args.order,
+    )
+    clamr = args.workload == "clamr"
+    mode = args.policy if clamr else args.precision
+    case = "clamr/dam_break" if clamr else "self/thermal_bubble"
+    tel = _telemetry(args, f"{case}/{mode}", watch_stride=args.stride)
+    res = built.simulation(mode, scheme=args.scheme, telemetry=tel).run(args.steps)
+    if clamr:
         print(f"CLAMR dam break: {args.nx}^2 coarse, {args.max_level} AMR levels, "
               f"{args.steps} steps, policy {args.policy}")
         print(f"  wall {res.elapsed_s:.3f}s (kernel {res.kernel_elapsed_s:.3f}s), "
               f"mass drift {res.mass_drift:.3e}")
     else:
-        from repro.self_ import SelfSimulation, ThermalBubbleConfig
-
-        label = f"self/thermal_bubble/{args.precision}"
-        tel = Telemetry(
-            label=label, watch_stride=args.stride, flight=_make_flight(args, label)
-        )
-        cfg = ThermalBubbleConfig(
-            nex=args.elems, ney=args.elems, nez=args.elems, order=args.order
-        )
-        sim = SelfSimulation(cfg, precision=args.precision, telemetry=tel)
-        res = sim.run(args.steps)
         print(f"SELF thermal bubble: {args.elems}^3 elements, order {args.order}, "
               f"{args.steps} steps, precision {args.precision}")
         print(f"  wall {res.elapsed_s:.3f}s (kernel {res.kernel_elapsed_s:.3f}s)")
@@ -1142,31 +1112,6 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     raise ValueError(f"unknown ledger command {args.ledger_command!r}")  # pragma: no cover
 
 
-def _resil_sim_config(args: argparse.Namespace):
-    overrides: dict = {}
-    if getattr(args, "scenario", ""):
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(args.scenario)
-        if sc.family != args.workload:
-            raise CLIError(
-                f"scenario {args.scenario!r} belongs to workload {sc.family!r}, "
-                f"not {args.workload!r}"
-            )
-        overrides = dict(sc.config)
-    if args.workload == "clamr":
-        from repro.clamr import DamBreakConfig
-
-        kwargs = {"nx": args.nx, "ny": args.nx, "max_level": args.max_level}
-        kwargs.update(overrides)
-        return DamBreakConfig(**kwargs)
-    from repro.self_ import ThermalBubbleConfig
-
-    kwargs = {"nex": args.elems, "ney": args.elems, "nez": args.elems, "order": args.order}
-    kwargs.update(overrides)
-    return ThermalBubbleConfig(**kwargs)
-
-
 def _resil_plan(args: argparse.Namespace, array_names) -> "object":
     from repro.resilience import FaultPlan, FaultSpec
 
@@ -1241,14 +1186,18 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         return 0
 
     from repro.resilience import make_adapter
+    from repro.scenarios.runner import build_config
 
     tel = Telemetry(
         label=f"resilience/{args.workload}/{args.policy}", watch_stride=0
     )
-    sim_config = _resil_sim_config(args)
+    built = build_config(
+        args.workload, scenario=args.scenario, nx=args.nx, max_level=args.max_level,
+        elems=args.elems, order=args.order,
+    )
     adapter = make_adapter(
-        args.workload, sim_config, policy=args.policy, scheme=args.scheme, telemetry=tel,
-        scenario=args.scenario,
+        args.workload, built.config, policy=args.policy, scheme=args.scheme,
+        telemetry=tel, **built.hooks,
     )
     plan = _resil_plan(args, adapter.arrays().keys())
 
@@ -1306,16 +1255,10 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         report = runner.run(args.steps)
         print(report.summary())
         if args.ledger and report.result is not None:
-            from dataclasses import asdict
-
             from repro.ledger import Ledger
 
-            rec_config = sim_config
-            if args.scenario:
-                # the scenario is part of what was run, so it joins the identity
-                rec_config = {**asdict(sim_config), "scenario": args.scenario}
             record = record_resilient_run(
-                report, runner, sim_config=rec_config, seed=args.seed,
+                report, runner, sim_config=built.identity(), seed=args.seed,
                 label=args.label or tel.label,
             )
             Ledger(args.ledger).append(record)
@@ -1564,22 +1507,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _job_spec_from_args(args: argparse.Namespace):
+    from dataclasses import fields
+
     from repro.service import JobSpec
 
-    return JobSpec(
-        workload=args.workload,
-        steps=args.steps,
-        seed=args.seed,
-        watch_stride=args.watch_stride,
-        label=args.label,
-        nx=args.nx,
-        max_level=args.max_level,
-        policy=args.policy,
-        scheme=args.scheme,
-        elems=args.elems,
-        order=args.order,
-        precision=args.precision,
-    )
+    return JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)})
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.diverge.record import _sim_config
 from repro.diverge.ulp import fields_ulp_stats
 
 __all__ = ["OnsetReport", "onset_curve", "DEFAULT_THRESHOLDS"]
@@ -81,11 +80,11 @@ class OnsetReport:
 def _make_adapter(workload: str, mode: str, *, nx: int, max_level: int,
                   elems: int, order: int, scheme: str, vectorized: bool):
     from repro.resilience.adapters import make_adapter
+    from repro.scenarios.runner import build_config
 
-    config = _sim_config(workload, nx=nx, max_level=max_level,
-                         elems=elems, order=order)
+    built = build_config(workload, nx=nx, max_level=max_level, elems=elems, order=order)
     return make_adapter(
-        workload, config, policy=mode, scheme=scheme, vectorized=vectorized
+        workload, built.config, policy=mode, scheme=scheme, vectorized=vectorized
     )
 
 

@@ -63,34 +63,6 @@ class RecordedRun:
         return self.ladder.root()
 
 
-def _sim_config(
-    workload: str, *, nx: int, max_level: int, elems: int, order: int, scenario: str = ""
-):
-    overrides: dict = {}
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(scenario)
-        if sc.family != workload:
-            raise ValueError(
-                f"scenario {scenario!r} belongs to workload {sc.family!r}, not {workload!r}"
-            )
-        overrides = dict(sc.config)
-    if workload == "clamr":
-        from repro.clamr import DamBreakConfig
-
-        kwargs = {"nx": nx, "ny": nx, "max_level": max_level}
-        kwargs.update(overrides)
-        return DamBreakConfig(**kwargs)
-    if workload == "self":
-        from repro.self_ import ThermalBubbleConfig
-
-        kwargs = {"nex": elems, "ney": elems, "nez": elems, "order": order}
-        kwargs.update(overrides)
-        return ThermalBubbleConfig(**kwargs)
-    raise ValueError(f"unknown workload {workload!r}; use 'clamr' or 'self'")
-
-
 def _write_checkpoint(path: Path, adapter) -> None:
     if adapter.workload == "clamr":
         from repro.clamr.checkpoint import write_checkpoint
@@ -132,6 +104,7 @@ def record_run(
     """
     from repro.resilience.adapters import make_adapter
     from repro.resilience.faults import FaultInjector
+    from repro.scenarios.runner import build_config
     from repro.telemetry import Telemetry
 
     if steps < 1:
@@ -141,9 +114,10 @@ def record_run(
         label=label or f"diverge/{scenario or workload}",
     )
     tel = Telemetry(label=ladder.label, ladder=ladder)
-    config = _sim_config(
-        workload, nx=nx, max_level=max_level, elems=elems, order=order, scenario=scenario
+    built = build_config(
+        workload, scenario=scenario, nx=nx, max_level=max_level, elems=elems, order=order
     )
+    config = built.config
     adapter = make_adapter(
         workload,
         config,
@@ -151,7 +125,7 @@ def record_run(
         scheme=scheme,
         vectorized=vectorized,
         telemetry=tel,
-        scenario=scenario,
+        **built.hooks,
     )
     injector = FaultInjector(plan) if plan is not None and plan.specs else None
     out_dir = Path(out) if out is not None else None

@@ -115,30 +115,27 @@ class _ReplaySide:
     def __init__(self, run_dir: Path, doc: dict, ladder: StateHashLadder) -> None:
         from repro.resilience.adapters import make_adapter
         from repro.resilience.faults import FaultInjector
+        from repro.scenarios.runner import build_config
         from repro.telemetry import Telemetry
 
         self.run_dir = run_dir
         self.doc = doc
         self.workload = doc["workload"]
         tel = Telemetry(label=f"replay/{run_dir.name}", ladder=ladder)
-        if self.workload == "clamr":
-            from repro.clamr import DamBreakConfig
-
-            config = DamBreakConfig(**doc["config"])
-        else:
-            from repro.self_ import ThermalBubbleConfig
-
-            config = ThermalBubbleConfig(**_tuplify(doc["config"]))
+        # the recorded config already holds the scenario's overrides, so
+        # re-applying them changes nothing; pre-scenario run docs have no
+        # "scenario" key, and "" keeps the workload's seed initial condition
+        built = build_config(
+            self.workload, scenario=doc.get("scenario", ""), **_tuplify(doc["config"])
+        )
         self.adapter = make_adapter(
             self.workload,
-            config,
+            built.config,
             policy=doc["policy"] if self.workload == "clamr" else doc["precision"],
             scheme=doc.get("scheme", "rusanov"),
             vectorized=bool(doc.get("vectorized", True)),
             telemetry=tel,
-            # pre-scenario run docs have no "scenario" key; "" keeps the
-            # workload's seed initial condition, matching what was recorded
-            scenario=doc.get("scenario", ""),
+            **built.hooks,
         )
         plan = _fault_plan(doc.get("faults"))
         self.injector = FaultInjector(plan) if plan is not None else None

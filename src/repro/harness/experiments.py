@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clamr import ClamrSimulation, DamBreakConfig
+from repro.clamr import ClamrSimulation
 from repro.clamr.simulation import SimulationResult
 from repro.cost.aws import application_cost
 from repro.harness.report import Figure, Table
@@ -28,6 +28,7 @@ from repro.machine.energy import estimate_energy
 from repro.machine.roofline import RooflineModel
 from repro.machine.specs import CLAMR_DEVICE_ORDER, SELF_DEVICE_ORDER, device
 from repro.precision.analysis import mirror_asymmetry
+from repro.scenarios.runner import build_config
 from repro.self_ import SelfSimulation, ThermalBubbleConfig
 from repro.self_.simulation import SelfResult
 
@@ -123,9 +124,7 @@ def _persist_telemetry(telemetry_dir, tel) -> None:
 
 
 def _append_record(ledger, record) -> None:
-    """Append an already-built run record when a ledger is requested."""
-    if ledger is None or record is None:
-        return
+    """Append an already-built run record to a ledger (path or Ledger)."""
     from repro.ledger import Ledger
 
     if not isinstance(ledger, Ledger):
@@ -153,56 +152,81 @@ def _persist_hashes(hash_dir, bundle) -> None:
     write_hashes(ladder, out / f"{stem}.hashes.jsonl")
 
 
-def _clamr_level_task(cfg, level, steps, vectorized, scenario=None, telemetry=None):
-    """Worker body for one precision level of :func:`run_clamr_levels`.
+def _precision_task(built, mode, steps, vectorized, telemetry=None):
+    """Worker body for one precision of a :func:`_sweep_precisions` sweep.
 
     Module-level (picklable) so :class:`SweepExecutor` can ship it to a
     worker process.  When the task carries a ``TelemetrySpec``, the
     executor builds ``telemetry`` in the worker and ships the frozen
     bundle back; records, trace files, and merged traces are all produced
-    by the parent from that bundle.  A scenario crosses the process
-    boundary as its *name* and is resolved in the worker, so its hooks
-    never need to pickle.
+    by the parent from that bundle.  ``built`` carries a scenario by
+    *name*, resolved in the worker, so its hooks never need to pickle.
     """
-    ic = bathymetry = None
-    scheme = "rusanov"
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(scenario)
-        ic, bathymetry, scheme = sc.ic, sc.bathymetry, sc.scheme
-    result = ClamrSimulation(
-        cfg, policy=level, vectorized=vectorized, scheme=scheme, telemetry=telemetry,
-        ic=ic, bathymetry=bathymetry,
-    ).run(steps)
-    return level, result
+    result = built.simulation(mode, vectorized=vectorized, telemetry=telemetry).run(steps)
+    return mode, result
 
 
-def _self_precision_task(cfg, prec, steps, scenario=None, telemetry=None):
-    """Worker body for one precision of :func:`run_self_precisions`."""
-    ic = None
-    if scenario:
-        from repro.scenarios import get_scenario
+def _sweep_precisions(
+    built,
+    modes,
+    steps: int,
+    label: str,
+    *,
+    vectorized: bool = True,
+    telemetry_dir=None,
+    ledger=None,
+    jobs: int = 1,
+    trace_out=None,
+    flight_stride: int = 0,
+    hash_stride: int = 0,
+    hash_dir=None,
+) -> dict:
+    """One run of ``built`` per precision mode; see :func:`run_clamr_levels`.
 
-        ic = get_scenario(scenario).ic
-    result = SelfSimulation(cfg, precision=prec, telemetry=telemetry, ic=ic).run(steps)
-    return prec, result
-
-
-def _run_sweep(
-    tasks, jobs, ledger, telemetry_dir, trace_out=None, build_record=None, hash_dir=None
-):
-    """Execute sweep tasks; all side effects happen parent-side, in order.
-
-    Traced tasks come back as :class:`TracedResult`; the parent unwraps
-    each, persists per-task telemetry into ``telemetry_dir`` (and, with
-    ``hash_dir`` set, each lane's state-hash stream), builds and
-    appends the ledger record (``build_record(result, bundle)``), and —
-    with ``trace_out`` set — merges every bundle into one Chrome trace
-    with one pid lane per task in submission order.
+    All side effects happen parent-side, in task order: traced tasks come
+    back as :class:`TracedResult`; the parent unwraps each, persists its
+    telemetry into ``telemetry_dir`` (and, with ``hash_dir`` set, its
+    state-hash stream), appends its ledger record, and — with
+    ``trace_out`` set — merges every bundle into one Chrome trace with
+    one pid lane per task in submission order.
     """
-    from repro.parallel.executor import SweepExecutor, TracedResult
+    from repro.ledger.record import record_from_run
+    from repro.parallel.executor import (
+        SweepExecutor,
+        SweepTask,
+        TelemetrySpec,
+        TracedResult,
+        resolve_jobs,
+    )
 
+    jobs = resolve_jobs(jobs, len(modes))
+    if hash_dir is not None and hash_stride < 1:
+        hash_stride = 1
+    traced = (
+        telemetry_dir is not None
+        or ledger is not None
+        or trace_out is not None
+        or flight_stride > 0
+        or hash_stride > 0
+    )
+    tasks = [
+        SweepTask(
+            name=f"{label}/{mode}",
+            fn=_precision_task,
+            args=(built, mode, steps, vectorized),
+            telemetry=(
+                TelemetrySpec(
+                    label=f"{label}/{mode}",
+                    flight_stride=flight_stride,
+                    hash_stride=hash_stride,
+                )
+                if traced
+                else None
+            ),
+        )
+        for mode in modes
+    ]
+    identity = built.identity()
     results = {}
     bundles = []
     for _, outcome in SweepExecutor(jobs).stream(tasks):
@@ -210,14 +234,17 @@ def _run_sweep(
         if isinstance(outcome, TracedResult):
             bundle = outcome.bundle
             outcome = outcome.value
-        key, result = outcome
-        results[key] = result
+        mode, result = outcome
+        results[mode] = result
         if bundle is not None:
             bundles.append(bundle)
             _persist_telemetry(telemetry_dir, bundle)
             _persist_hashes(hash_dir, bundle)
-            if build_record is not None:
-                _append_record(ledger, build_record(result, bundle))
+            if ledger is not None:
+                record = record_from_run(
+                    built.workload, result, bundle, identity, label=bundle.label
+                )
+                _append_record(ledger, record)
     if trace_out is not None and bundles:
         from repro.telemetry.bundle import write_merged_chrome_trace
 
@@ -263,62 +290,12 @@ def run_clamr_levels(
     overrides and hooks apply on top of ``nx``/``max_level``; its name
     joins the ledger identity).
     """
-    from repro.parallel.executor import SweepTask, TelemetrySpec, resolve_jobs
-
-    cfg_kwargs: dict = {"nx": nx, "ny": nx, "max_level": max_level}
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(scenario)
-        if sc.family != "clamr":
-            raise ValueError(f"scenario {scenario!r} is not a clamr scenario")
-        cfg_kwargs.update(sc.config)
-    cfg = DamBreakConfig(**cfg_kwargs)
-    label = label or (
-        f"{scenario}/nx{nx}s{steps}" if scenario else f"clamr/nx{nx}s{steps}"
-    )
-    jobs = resolve_jobs(jobs, len(CLAMR_LEVELS))
-    if hash_dir is not None and hash_stride < 1:
-        hash_stride = 1
-    traced = (
-        telemetry_dir is not None
-        or ledger is not None
-        or trace_out is not None
-        or flight_stride > 0
-        or hash_stride > 0
-    )
-    tasks = [
-        SweepTask(
-            name=f"{label}/{level}",
-            fn=_clamr_level_task,
-            args=(cfg, level, steps, vectorized, scenario),
-            telemetry=(
-                TelemetrySpec(
-                    label=f"{label}/{level}",
-                    flight_stride=flight_stride,
-                    hash_stride=hash_stride,
-                )
-                if traced
-                else None
-            ),
-        )
-        for level in CLAMR_LEVELS
-    ]
-    build_record = None
-    if ledger is not None:
-        from repro.ledger import record_from_clamr
-
-        rec_cfg = cfg
-        if scenario:
-            from dataclasses import asdict
-
-            rec_cfg = {**asdict(cfg), "scenario": scenario}
-
-        def build_record(result, bundle):
-            return record_from_clamr(result, bundle, rec_cfg, label=bundle.label)
-
-    return _run_sweep(
-        tasks, jobs, ledger, telemetry_dir, trace_out, build_record, hash_dir
+    built = build_config("clamr", scenario=scenario or "", nx=nx, max_level=max_level)
+    return _sweep_precisions(
+        built, CLAMR_LEVELS, steps, label or f"{scenario or 'clamr'}/nx{nx}s{steps}",
+        vectorized=vectorized, telemetry_dir=telemetry_dir, ledger=ledger, jobs=jobs,
+        trace_out=trace_out, flight_stride=flight_stride, hash_stride=hash_stride,
+        hash_dir=hash_dir,
     )
 
 
@@ -342,62 +319,11 @@ def run_self_precisions(
     ``flight_stride``, ``hash_stride``, ``hash_dir`` and ``scenario``
     behave as in :func:`run_clamr_levels`.
     """
-    from repro.parallel.executor import SweepTask, TelemetrySpec, resolve_jobs
-
-    cfg_kwargs: dict = {"nex": elems, "ney": elems, "nez": elems, "order": order}
-    if scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(scenario)
-        if sc.family != "self":
-            raise ValueError(f"scenario {scenario!r} is not a self scenario")
-        cfg_kwargs.update(sc.config)
-    cfg = ThermalBubbleConfig(**cfg_kwargs)
-    label = label or (
-        f"{scenario}/e{elems}o{order}s{steps}" if scenario else f"self/e{elems}o{order}s{steps}"
-    )
-    jobs = resolve_jobs(jobs, len(SELF_PRECISIONS))
-    if hash_dir is not None and hash_stride < 1:
-        hash_stride = 1
-    traced = (
-        telemetry_dir is not None
-        or ledger is not None
-        or trace_out is not None
-        or flight_stride > 0
-        or hash_stride > 0
-    )
-    tasks = [
-        SweepTask(
-            name=f"{label}/{prec}",
-            fn=_self_precision_task,
-            args=(cfg, prec, steps, scenario),
-            telemetry=(
-                TelemetrySpec(
-                    label=f"{label}/{prec}",
-                    flight_stride=flight_stride,
-                    hash_stride=hash_stride,
-                )
-                if traced
-                else None
-            ),
-        )
-        for prec in SELF_PRECISIONS
-    ]
-    build_record = None
-    if ledger is not None:
-        from repro.ledger import record_from_self
-
-        rec_cfg = cfg
-        if scenario:
-            from dataclasses import asdict
-
-            rec_cfg = {**asdict(cfg), "scenario": scenario}
-
-        def build_record(result, bundle):
-            return record_from_self(result, bundle, rec_cfg, label=bundle.label)
-
-    return _run_sweep(
-        tasks, jobs, ledger, telemetry_dir, trace_out, build_record, hash_dir
+    built = build_config("self", scenario=scenario or "", elems=elems, order=order)
+    return _sweep_precisions(
+        built, SELF_PRECISIONS, steps, label or f"{scenario or 'self'}/e{elems}o{order}s{steps}",
+        telemetry_dir=telemetry_dir, ledger=ledger, jobs=jobs, trace_out=trace_out,
+        flight_stride=flight_stride, hash_stride=hash_stride, hash_dir=hash_dir,
     )
 
 
@@ -500,7 +426,7 @@ def table3_vectorization(nx: int = 24, steps: int = 40) -> Table:
     from repro.clamr.checkpoint import checkpoint_nbytes
     from repro.precision.policy import PrecisionPolicy
 
-    cfg = DamBreakConfig(nx=nx, ny=nx, max_level=1)
+    cfg = build_config("clamr", nx=nx, max_level=1).config
     factor = clamr_paper_scale_factor(nx, steps)
     table = Table(
         title="Table III — CLAMR precision comparisons and vectorization",
@@ -541,7 +467,7 @@ def table4_compilers(elems: int = 4, order: int = 4, steps: int = 30) -> Table:
     Paper values (s): GNU 304.09 single / 261.65 double;
     Intel 185.89 single / 252.85 double — the GNU inversion.
     """
-    cfg = ThermalBubbleConfig(nex=elems, ney=elems, nez=elems, order=order)
+    cfg = build_config("self", elems=elems, order=order).config
     factor = self_paper_scale_factor(cfg, steps)
     haswell = device("haswell")
     table = Table(
@@ -573,7 +499,7 @@ def table5_self_architectures(
     """
     if results is None:
         results = run_self_precisions(elems=elems, order=order, steps=steps)
-    cfg = ThermalBubbleConfig(nex=elems, ney=elems, nez=elems, order=order)
+    cfg = build_config("self", elems=elems, order=order).config
     factor = self_paper_scale_factor(cfg, steps)
     table = Table(
         title="Table V — SELF runtime and memory by architecture",
@@ -628,7 +554,7 @@ def table6_self_energy(
     """
     if results is None:
         results = run_self_precisions(elems=elems, order=order, steps=steps)
-    cfg = ThermalBubbleConfig(nex=elems, ney=elems, nez=elems, order=order)
+    cfg = build_config("self", elems=elems, order=order).config
     factor = self_paper_scale_factor(cfg, steps)
     table = Table(
         title="Table VI — estimated SELF energy use (Joules)",
@@ -677,7 +603,7 @@ def table7_cost(
         for level in CLAMR_LEVELS
     }
 
-    cfg = ThermalBubbleConfig(nex=self_elems, ney=self_elems, nez=self_elems, order=self_order)
+    cfg = build_config("self", elems=self_elems, order=self_order).config
     sfactor = self_paper_scale_factor(cfg, self_steps)
     self_runtime = {
         prec: model.predict(self_results[prec].profile.scaled(sfactor)).runtime_s
@@ -793,8 +719,8 @@ def fig3_precision_resolution(nx_lo: int = 32, steps_hint: int = 400) -> Figure:
     detailed structure" than the Full-LoRes run — the reinvestment of
     precision savings into resolution.
     """
-    lo_cfg = DamBreakConfig(nx=nx_lo, ny=nx_lo, max_level=1)
-    hi_cfg = DamBreakConfig(nx=nx_lo * 2, ny=nx_lo * 2, max_level=1)
+    lo_cfg = build_config("clamr", nx=nx_lo, max_level=1).config
+    hi_cfg = build_config("clamr", nx=nx_lo * 2, max_level=1).config
     lo_sim = ClamrSimulation(lo_cfg, policy="full")
     lo = lo_sim.run(steps_hint)
     hi_sim = ClamrSimulation(hi_cfg, policy="min")

@@ -54,6 +54,10 @@ __all__ = [
     "kernel_summaries",
     "record_from_clamr",
     "record_from_self",
+    "record_from_run",
+    "run_shape",
+    "hashed_config",
+    "workload_label",
 ]
 
 #: Bump on any backwards-incompatible record change; readers refuse newer.
@@ -342,6 +346,65 @@ def _build(
     )
 
 
+def run_shape(
+    workload: str,
+    *,
+    steps: int,
+    watch_stride: int,
+    scheme: str = "rusanov",
+    vectorized: bool = True,
+) -> dict:
+    """The ``run`` sub-dict of the hashed config (see the module docstring).
+
+    SELF has no flux scheme or scalar kernel path, so its sub-dict
+    carries only the step count and the watchpoint stride.
+    """
+    if workload == "clamr":
+        return {
+            "steps": int(steps),
+            "scheme": str(scheme),
+            "vectorized": bool(vectorized),
+            "watch_stride": int(watch_stride),
+        }
+    return {"steps": int(steps), "watch_stride": int(watch_stride)}
+
+
+def hashed_config(config, run: dict) -> dict:
+    """The config payload a record hashes: the config (a dataclass or its
+    identity dict) plus the ``run`` sub-dict, in canonical JSON types
+    (tuples become lists)."""
+    cfg = asdict(config) if not isinstance(config, dict) else dict(config)
+    cfg = json.loads(json.dumps(cfg))
+    cfg["run"] = dict(run)
+    return cfg
+
+
+def workload_label(
+    workload: str,
+    *,
+    steps: int,
+    nx: int = 0,
+    policy: str = "",
+    scheme: str = "rusanov",
+    vectorized: bool = True,
+    elems: int = 0,
+    order: int = 0,
+    precision: str = "",
+) -> str:
+    """The display label of a plain workload run.
+
+    Every shape knob that changes the run identity but not the config
+    dataclass shows in the label, so two ledger rows with different
+    workload keys never read the same (``/muscl``, ``/scalar``).
+    """
+    if workload == "clamr":
+        variant = "" if scheme == "rusanov" else f"/{scheme}"
+        if not vectorized:
+            variant += "/scalar"
+        return f"clamr/nx{nx}s{steps}/{policy}{variant}"
+    return f"self/e{elems}o{order}s{steps}/{precision}"
+
+
 def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> RunRecord:
     """Reduce one CLAMR run (+ its telemetry) to a :class:`RunRecord`.
 
@@ -351,13 +414,16 @@ def record_from_clamr(result, tel, config, seed: int = 0, label: str = "") -> Ru
     """
     from repro.precision.analysis import asymmetry_signature
 
-    cfg = asdict(config) if not isinstance(config, dict) else dict(config)
-    cfg["run"] = {
-        "steps": int(result.steps),
-        "scheme": str(getattr(result, "scheme", "rusanov")),
-        "vectorized": bool(getattr(result, "vectorized", True)),
-        "watch_stride": _watch_stride_of(tel),
-    }
+    cfg = hashed_config(
+        config,
+        run_shape(
+            "clamr",
+            steps=result.steps,
+            watch_stride=_watch_stride_of(tel),
+            scheme=getattr(result, "scheme", "rusanov"),
+            vectorized=getattr(result, "vectorized", True),
+        ),
+    )
     sig = asymmetry_signature(result.slice_precise)
     mass_first = float(result.mass_history[0]) if result.mass_history else 0.0
     mass_last = float(result.mass_history[-1]) if result.mass_history else 0.0
@@ -400,12 +466,9 @@ def record_from_self(result, tel, config, seed: int = 0, label: str = "") -> Run
     from repro.precision.analysis import asymmetry_signature
     from repro.sums.doubledouble import dd_sum
 
-    cfg = asdict(config) if not isinstance(config, dict) else dict(config)
-    cfg = json.loads(json.dumps(cfg))  # tuples → lists, canonical JSON types
-    cfg["run"] = {
-        "steps": int(result.steps),
-        "watch_stride": _watch_stride_of(tel),
-    }
+    cfg = hashed_config(
+        config, run_shape("self", steps=result.steps, watch_stride=_watch_stride_of(tel))
+    )
     sig = asymmetry_signature(result.slice_precise)
     conserved = float(dd_sum(np.asarray(result.anomaly_field, dtype=np.float64).ravel()))
     fidelity = {
@@ -436,3 +499,10 @@ def record_from_self(result, tel, config, seed: int = 0, label: str = "") -> Run
         fidelity=fidelity,
         backend=resolved_backend(),
     )
+
+
+def record_from_run(workload: str, result, tel, config, seed: int = 0, label: str = "") -> RunRecord:
+    """:func:`record_from_clamr` or :func:`record_from_self`, by workload."""
+    if workload == "clamr":
+        return record_from_clamr(result, tel, config, seed=seed, label=label)
+    return record_from_self(result, tel, config, seed=seed, label=label)

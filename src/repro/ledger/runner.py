@@ -1,14 +1,15 @@
 """Run one workload under telemetry and reduce it to a :class:`RunRecord`.
 
 The single entry point every ``--ledger`` wire uses — the ``repro ledger
-record`` CLI, the ``repro clamr``/``repro self`` flags, and the harness
-runners — so a record means the same thing no matter which door the run
-came through.
+record`` CLI, the sweep service's jobs, and the harness runners — so a
+record means the same thing no matter which door the run came through.
 """
 
 from __future__ import annotations
 
-from repro.ledger.record import RunRecord, record_from_clamr, record_from_self
+from repro.ledger.record import record_from_run, workload_label
+from repro.parallel.executor import TelemetrySpec
+from repro.scenarios.runner import build_config
 
 __all__ = ["run_workload"]
 
@@ -39,42 +40,17 @@ def run_workload(
     ``flight_stride > 0`` attaches a flight recorder (sampling every that
     many steps), which folds its digest into the record's fidelity.
     """
-    from repro.telemetry import Telemetry
-
-    def _flight(run_label: str):
-        if flight_stride <= 0:
-            return None
-        from repro.telemetry.flight import FlightRecorder
-
-        return FlightRecorder(
-            stride=flight_stride, capacity=flight_capacity, label=run_label
-        )
-
-    if workload == "clamr":
-        from repro.clamr import ClamrSimulation, DamBreakConfig
-
-        cfg = DamBreakConfig(nx=nx, ny=nx, max_level=max_level)
-        variant = "" if scheme == "rusanov" else f"/{scheme}"
-        run_label = label or f"clamr/nx{nx}s{steps}/{policy}{variant}"
-        tel = Telemetry(
-            label=run_label,
-            watch_stride=watch_stride,
-            flight=_flight(run_label),
-        )
-        result = ClamrSimulation(cfg, policy=policy, scheme=scheme, telemetry=tel).run(steps)
-        record = record_from_clamr(result, tel, cfg, seed=seed, label=tel.label)
-    elif workload == "self":
-        from repro.self_ import SelfSimulation, ThermalBubbleConfig
-
-        cfg = ThermalBubbleConfig(nex=elems, ney=elems, nez=elems, order=order)
-        run_label = label or f"self/e{elems}o{order}s{steps}/{precision}"
-        tel = Telemetry(
-            label=run_label,
-            watch_stride=watch_stride,
-            flight=_flight(run_label),
-        )
-        result = SelfSimulation(cfg, precision=precision, telemetry=tel).run(steps)
-        record = record_from_self(result, tel, cfg, seed=seed, label=tel.label)
-    else:
-        raise ValueError(f"unknown workload {workload!r}; use 'clamr' or 'self'")
+    built = build_config(workload, nx=nx, max_level=max_level, elems=elems, order=order)
+    tel = TelemetrySpec(
+        label=label or workload_label(
+            workload, steps=steps, nx=nx, policy=policy, scheme=scheme,
+            elems=elems, order=order, precision=precision,
+        ),
+        watch_stride=watch_stride,
+        flight_stride=flight_stride,
+        flight_capacity=flight_capacity,
+    ).build()
+    mode = policy if workload == "clamr" else precision
+    result = built.simulation(mode, scheme=scheme, telemetry=tel).run(steps)
+    record = record_from_run(workload, result, tel, built.identity(), seed=seed, label=tel.label)
     return record, tel

@@ -220,7 +220,8 @@ class SweepExecutor:
     submits every task to a ``ProcessPoolExecutor`` up front and yields
     results in submission order (a result that finishes early waits for
     its turn).  Worker exceptions propagate from ``stream()``/``map()``
-    at the failing task's position, after the pool is shut down.
+    at the failing task's position, after the pool is shut down; tasks
+    still queued at that point are cancelled, not run.
     """
 
     def __init__(self, jobs: int = 1):
@@ -308,7 +309,9 @@ class SweepExecutor:
                 yield task, result
                 index += 1
         finally:
-            pool.shutdown(wait=True)
+            # on a raised error, drop the queued tasks instead of running
+            # them all before the error can surface
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def map(self, tasks: Sequence[SweepTask], on_error: str = "raise") -> list[Any]:
         """All results, in task order."""

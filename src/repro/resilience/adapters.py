@@ -30,6 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.precision.policy import PrecisionLevel, PrecisionPolicy, level_from_name
+from repro.scenarios.runner import self_precision_of
 
 __all__ = ["ClamrAdapter", "SelfAdapter", "make_adapter"]
 
@@ -54,30 +55,20 @@ class ClamrAdapter:
         scheme: str = "rusanov",
         vectorized: bool = True,
         telemetry=None,
-        scenario: str = "",
+        ic=None,
+        bathymetry=None,
     ) -> None:
         from repro.clamr import ClamrSimulation
 
         if not isinstance(policy, PrecisionPolicy):
             policy = PrecisionPolicy.from_level(level_from_name(policy))
-        # Scenarios are resolved by *name* so adapters stay picklable for
-        # process-parallel campaigns; the registry lookup happens in-process.
-        # Only the IC/bathymetry hooks come from the scenario — the flux
-        # scheme stays a caller knob (campaigns legitimately sweep it).
-        ic = bathymetry = None
-        if scenario:
-            from repro.scenarios import get_scenario
-
-            sc = get_scenario(scenario)
-            if sc.family != "clamr":
-                raise ValueError(f"scenario {scenario!r} is not a clamr scenario")
-            ic, bathymetry = sc.ic, sc.bathymetry
+        # ic/bathymetry are a scenario's hooks (WorkloadConfig.hooks); the
+        # flux scheme stays a caller knob (campaigns legitimately sweep it)
         self.config = config
         self.initial_policy = policy
         self.scheme = scheme
         self.vectorized = vectorized
         self.telemetry = telemetry
-        self.scenario = scenario
         self.sim = ClamrSimulation(
             config, policy=policy, vectorized=vectorized, scheme=scheme, telemetry=telemetry,
             ic=ic, bathymetry=bathymetry,
@@ -188,22 +179,12 @@ class SelfAdapter:
 
     workload = "self"
 
-    def __init__(self, config, precision: str = "single", telemetry=None,
-                 scenario: str = "") -> None:
+    def __init__(self, config, precision: str = "single", telemetry=None, ic=None) -> None:
         from repro.self_ import SelfSimulation
 
-        ic = None
-        if scenario:
-            from repro.scenarios import get_scenario
-
-            sc = get_scenario(scenario)
-            if sc.family != "self":
-                raise ValueError(f"scenario {scenario!r} is not a self scenario")
-            ic = sc.ic
         self.config = config
         self.initial_precision = precision
         self.telemetry = telemetry
-        self.scenario = scenario
         self._ic = ic
         self.sim = SelfSimulation(config, precision=precision, telemetry=telemetry, ic=ic)
         self.elapsed_s = 0.0
@@ -297,14 +278,19 @@ class SelfAdapter:
 
 
 def make_adapter(workload: str, config, *, policy: str = "min", scheme: str = "rusanov",
-                 vectorized: bool = True, telemetry=None, scenario: str = ""):
-    """Adapter factory keyed by workload name (the CLI entry point)."""
+                 vectorized: bool = True, telemetry=None, ic=None, bathymetry=None):
+    """Adapter factory keyed by workload name (the CLI entry point).
+
+    ``ic``/``bathymetry`` are a scenario's hooks, as in
+    :attr:`repro.scenarios.runner.WorkloadConfig.hooks`.
+    """
     if workload == "clamr":
         return ClamrAdapter(
             config, policy=policy, scheme=scheme, vectorized=vectorized, telemetry=telemetry,
-            scenario=scenario,
+            ic=ic, bathymetry=bathymetry,
         )
     if workload == "self":
-        precision = "single" if policy in ("min", "single", "half", "mixed") else "double"
-        return SelfAdapter(config, precision=precision, telemetry=telemetry, scenario=scenario)
+        return SelfAdapter(
+            config, precision=self_precision_of(policy), telemetry=telemetry, ic=ic
+        )
     raise ValueError(f"unknown workload {workload!r}; use 'clamr' or 'self'")

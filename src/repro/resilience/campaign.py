@@ -35,6 +35,7 @@ from repro.parallel.executor import (
 from repro.resilience.adapters import make_adapter
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.resilience.runner import RecoveryPolicy, ResilienceReport, ResilientRunner
+from repro.scenarios.runner import build_config
 
 __all__ = [
     "CampaignConfig",
@@ -72,6 +73,9 @@ class CampaignConfig:
     elems: int = 2
     order: int = 3
 
+    def __post_init__(self) -> None:
+        self.workload_config()  # a bad request fails here, before any cell runs
+
     def resolved_arrays(self) -> tuple[str, ...]:
         if self.arrays:
             return self.arrays
@@ -79,6 +83,13 @@ class CampaignConfig:
 
     def resolved_fault_step(self) -> int:
         return self.fault_step if self.fault_step > 0 else max(1, self.steps // 2)
+
+    def workload_config(self):
+        """The swept workload, decoded by the one workload builder."""
+        return build_config(
+            self.workload, scenario=self.scenario, nx=self.nx, max_level=self.max_level,
+            elems=self.elems, order=self.order,
+        )
 
 
 @dataclass(frozen=True)
@@ -112,33 +123,6 @@ class CampaignResult:
         return sum(1 for c in self.cells if predicate(c)) / len(self.cells)
 
 
-def _build_config(config: CampaignConfig):
-    overrides: dict = {}
-    if config.scenario:
-        from repro.scenarios import get_scenario
-
-        sc = get_scenario(config.scenario)
-        if sc.family != config.workload:
-            raise ValueError(
-                f"scenario {config.scenario!r} belongs to workload {sc.family!r}, "
-                f"not {config.workload!r}"
-            )
-        overrides = dict(sc.config)
-    if config.workload == "clamr":
-        from repro.clamr import DamBreakConfig
-
-        kwargs = {"nx": config.nx, "ny": config.nx, "max_level": config.max_level}
-        kwargs.update(overrides)
-        return DamBreakConfig(**kwargs)
-    from repro.self_ import ThermalBubbleConfig
-
-    kwargs = {
-        "nex": config.elems, "ney": config.elems, "nez": config.elems, "order": config.order
-    }
-    kwargs.update(overrides)
-    return ThermalBubbleConfig(**kwargs)
-
-
 def run_cell(
     config: CampaignConfig,
     array: str,
@@ -149,10 +133,10 @@ def run_cell(
     telemetry=None,
 ) -> tuple[CellOutcome, ResilienceReport, ResilientRunner]:
     """Run one supervised cell: one fault into one array at one level."""
-    sim_config = _build_config(config)
+    built = config.workload_config()
     adapter = make_adapter(
-        config.workload, sim_config, policy=level, scheme=config.scheme, telemetry=telemetry,
-        scenario=config.scenario,
+        config.workload, built.config, policy=level, scheme=config.scheme,
+        telemetry=telemetry, **built.hooks,
     )
     # the cell seed folds the sweep coordinates in deterministically
     # (stable across processes, unlike hash()), so re-running the
@@ -201,14 +185,10 @@ def _campaign_cell_task(config, recovery, array, kind, level, trial, want_record
     )
     record = None
     if want_record and report.result is not None:
-        sim_config = _build_config(config)
-        if config.scenario:
-            # the scenario is part of what was run, so it joins the identity
-            sim_config = {**asdict(sim_config), "scenario": config.scenario}
         record = record_resilient_run(
             report,
             runner,
-            sim_config=sim_config,
+            sim_config=config.workload_config().identity(),
             seed=config.seed,
             label=getattr(telemetry, "label", ""),
         )
@@ -285,7 +265,7 @@ def record_resilient_run(
     record's fidelity dict — which is not part of the hash, exactly like
     every other measured outcome.
     """
-    from repro.ledger.record import record_from_clamr, record_from_self
+    from repro.ledger.record import record_from_run
 
     if report.result is None:
         raise ValueError("cannot record an aborted run that never completed a step")
@@ -301,8 +281,7 @@ def record_resilient_run(
 
         # empty stand-in: the record builders only read spans/numerics
         tel = Telemetry(watch_stride=0)
-    builder = record_from_clamr if report.workload == "clamr" else record_from_self
-    record = builder(report.result, tel, cfg, seed=seed, label=label)
+    record = record_from_run(report.workload, report.result, tel, cfg, seed=seed, label=label)
     record.fidelity.update(report.fidelity())
     return record
 

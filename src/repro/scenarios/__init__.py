@@ -17,6 +17,7 @@ from repro.scenarios.registry import (
 from repro.scenarios.runner import (
     GOLDEN_SCALE,
     ScenarioRun,
+    WorkloadConfig,
     build_config,
     build_simulation,
     gate_scenarios,
@@ -30,6 +31,7 @@ from repro.scenarios.runner import (
 __all__ = [
     "Scenario",
     "ScenarioRun",
+    "WorkloadConfig",
     "GOLDEN_SCALE",
     "all_scenarios",
     "build_config",

@@ -12,9 +12,12 @@ the acceptance checks that say what "correct" means for *this* physics:
 
 Scenarios are identified by *name* (``"clamr/lake-at-rest"``).  Every
 consumer — the CLI, the sweep executor's worker processes, the
-resilience adapters, the divergence recorder — resolves the name through
-:func:`get_scenario` in its own process, so scenario-parameterised tasks
-stay picklable: only the string crosses process boundaries.
+resilience adapters, the divergence recorder — gets a scenario's config
+and hooks from the workload builder
+(:func:`repro.scenarios.runner.build_config`), which carries the name and
+resolves it through :func:`get_scenario` in the process that builds the
+driver, so scenario-parameterised tasks stay picklable: only the string
+crosses process boundaries.
 
 Builders (``ic``/``bathymetry``/``acceptance``) are module-level
 functions in :mod:`repro.scenarios.clamr_cases` and

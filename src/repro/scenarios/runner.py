@@ -1,7 +1,12 @@
-"""Build, run, validate, fingerprint and gate registered scenarios.
+"""Build, run, validate, fingerprint and gate workloads and scenarios.
 
-The one place that knows how to turn a :class:`Scenario` into a live
-simulation and back into evidence:
+:func:`build_config` is the one decoder of a workload request —
+(workload, size knobs, scenario) → config dataclass, scenario hooks and
+identity payload (:class:`WorkloadConfig`).  Every door that starts a
+run (the CLI commands, the ledger runner, the sweep service's job specs,
+the harness sweeps, the resilience campaign, the divergence recorder)
+goes through it.  On top of it, the one place that knows how to turn a
+:class:`Scenario` into a live simulation and back into evidence:
 
 * :func:`run_scenario` — build the family driver with the scenario's
   hooks and advance it one scale's worth of steps.
@@ -23,16 +28,17 @@ spec and git sha and are deliberately *not* gated on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-import numpy as np
-
-from repro.harness.paper import ShapeCheck
 from repro.scenarios.registry import Scenario, get_scenario, scenario_names
+
+if TYPE_CHECKING:  # the harness package imports this module's builder
+    from repro.harness.paper import ShapeCheck
 
 __all__ = [
     "GOLDEN_SCALE",
     "ScenarioRun",
+    "WorkloadConfig",
     "build_config",
     "build_simulation",
     "run_scenario",
@@ -52,6 +58,106 @@ def self_precision_of(policy: str) -> str:
     return "single" if policy in ("min", "single", "half", "mixed") else "double"
 
 
+@dataclass(frozen=True)
+class WorkloadConfig:
+    """One decoded workload request: config, scenario hooks, identity.
+
+    ``scenario`` is the registered case's *name* ("" for the workload's
+    seed case); its hooks are looked up when a driver is built, so a
+    ``WorkloadConfig`` pickles into sweep workers by value.
+    """
+
+    workload: str
+    config: Any
+    scenario: str = ""
+
+    @property
+    def hooks(self) -> dict:
+        """The scenario's driver hooks (``ic``, CLAMR ``bathymetry``)."""
+        if not self.scenario:
+            return {}
+        sc = get_scenario(self.scenario)
+        if self.workload == "clamr":
+            return {"ic": sc.ic, "bathymetry": sc.bathymetry}
+        return {"ic": sc.ic}
+
+    def identity(self) -> dict:
+        """The config payload a run record hashes: the scenario name joins it."""
+        from dataclasses import asdict
+
+        cfg = asdict(self.config)
+        if self.scenario:
+            cfg["scenario"] = self.scenario
+        return cfg
+
+    def simulation(
+        self,
+        mode: str,
+        *,
+        scheme: str | None = None,
+        vectorized: bool = True,
+        telemetry=None,
+    ):
+        """A ready-to-run driver: ``mode`` is the CLAMR policy or SELF precision.
+
+        ``scheme`` defaults to the scenario's (else Rusanov); SELF has no
+        flux scheme or scalar path, so it ignores both knobs.
+        """
+        if self.workload == "clamr":
+            from repro.clamr import ClamrSimulation
+
+            if scheme is None:
+                scheme = get_scenario(self.scenario).scheme if self.scenario else "rusanov"
+            return ClamrSimulation(
+                self.config, policy=mode, vectorized=vectorized, scheme=scheme,
+                telemetry=telemetry, **self.hooks,
+            )
+        from repro.self_ import SelfSimulation
+
+        return SelfSimulation(self.config, precision=mode, telemetry=telemetry, **self.hooks)
+
+
+def build_config(
+    workload: str,
+    *,
+    scenario: str = "",
+    nx: int | None = None,
+    max_level: int | None = None,
+    elems: int | None = None,
+    order: int | None = None,
+    **fields: Any,
+) -> WorkloadConfig:
+    """Decode a workload request into its :class:`WorkloadConfig`.
+
+    The size knobs of ``workload``'s family apply (``nx`` sets both CLAMR
+    axes, ``elems`` all three SELF axes); the other family's knobs are
+    ignored and a knob left ``None`` keeps the config dataclass default.
+    ``fields`` set further config fields.  A registered ``scenario``'s
+    config overrides apply last; a scenario of the other family is
+    refused.
+    """
+    if workload == "clamr":
+        from repro.clamr import DamBreakConfig as config_type
+
+        knobs = {"nx": nx, "ny": nx, "max_level": max_level}
+    elif workload == "self":
+        from repro.self_ import ThermalBubbleConfig as config_type
+
+        knobs = {"nex": elems, "ney": elems, "nez": elems, "order": order}
+    else:
+        raise ValueError(f"unknown workload {workload!r}; use 'clamr' or 'self'")
+    kwargs = {key: value for key, value in knobs.items() if value is not None}
+    kwargs.update(fields)
+    if scenario:
+        sc = get_scenario(scenario)
+        if sc.family != workload:
+            raise ValueError(
+                f"scenario {scenario!r} belongs to workload {sc.family!r}, not {workload!r}"
+            )
+        kwargs.update(sc.config)
+    return WorkloadConfig(workload, config_type(**kwargs), scenario)
+
+
 @dataclass
 class ScenarioRun:
     """One executed scenario: everything acceptance checks need."""
@@ -69,29 +175,6 @@ def _resolve(scenario: str | Scenario) -> Scenario:
     return scenario if isinstance(scenario, Scenario) else get_scenario(scenario)
 
 
-def build_config(scenario: str | Scenario, scale: str = GOLDEN_SCALE):
-    """The family config dataclass + step count for one scale."""
-    sc = _resolve(scenario)
-    size = sc.scale(scale)
-    steps = int(size.pop("steps"))
-    if sc.family == "clamr":
-        from repro.clamr import DamBreakConfig
-
-        kwargs: dict[str, Any] = {"nx": int(size["nx"]), "ny": int(size["nx"])}
-        kwargs.update(sc.config)
-        return DamBreakConfig(**kwargs), steps
-    from repro.self_ import ThermalBubbleConfig
-
-    kwargs = {
-        "nex": int(size["elems"]),
-        "ney": int(size["elems"]),
-        "nez": int(size["elems"]),
-        "order": int(size["order"]),
-    }
-    kwargs.update(sc.config)
-    return ThermalBubbleConfig(**kwargs), steps
-
-
 def build_simulation(
     scenario: str | Scenario,
     scale: str = GOLDEN_SCALE,
@@ -102,26 +185,14 @@ def build_simulation(
     """A ready-to-run driver with the scenario's hooks installed."""
     sc = _resolve(scenario)
     policy = policy or sc.fingerprint_policy
-    cfg, steps = build_config(sc, scale)
-    if sc.family == "clamr":
-        from repro.clamr import ClamrSimulation
-
-        sim = ClamrSimulation(
-            cfg,
-            policy=policy,
-            vectorized=vectorized,
-            scheme=sc.scheme,
-            telemetry=telemetry,
-            ic=sc.ic,
-            bathymetry=sc.bathymetry,
-        )
-    else:
-        from repro.self_ import SelfSimulation
-
-        sim = SelfSimulation(
-            cfg, precision=self_precision_of(policy), telemetry=telemetry, ic=sc.ic
-        )
-    return sim, cfg, steps, policy
+    size = sc.scale(scale)
+    built = build_config(
+        sc.family, scenario=sc.name, nx=size.get("nx"), elems=size.get("elems"),
+        order=size.get("order"),
+    )
+    mode = policy if sc.family == "clamr" else self_precision_of(policy)
+    sim = built.simulation(mode, vectorized=vectorized, telemetry=telemetry)
+    return sim, built.config, int(size["steps"]), policy
 
 
 def run_scenario(
@@ -135,12 +206,9 @@ def run_scenario(
     sim, cfg, steps, policy = build_simulation(
         sc, scale=scale, policy=policy, telemetry=telemetry, vectorized=vectorized
     )
-    if sc.family == "clamr":
-        result = sim.run(steps)
-    else:
-        result = sim.run(steps)
     return ScenarioRun(
-        scenario=sc, scale=scale, policy=policy, config=cfg, steps=steps, sim=sim, result=result
+        scenario=sc, scale=scale, policy=policy, config=cfg, steps=steps, sim=sim,
+        result=sim.run(steps),
     )
 
 
@@ -157,14 +225,6 @@ def validate_scenario(
     return run, checks
 
 
-def _scenario_config_dict(run: ScenarioRun) -> dict:
-    from dataclasses import asdict
-
-    cfg = asdict(run.config)
-    cfg["scenario"] = run.scenario.name
-    return cfg
-
-
 def record_scenario(
     scenario: str | Scenario,
     scale: str = GOLDEN_SCALE,
@@ -178,17 +238,15 @@ def record_scenario(
     break at the same grid size.  (The scale itself is not part of the
     identity — the sizes it resolves to already are.)
     """
-    from repro.ledger.record import record_from_clamr, record_from_self
+    from repro.ledger.record import record_from_run
     from repro.parallel.executor import TelemetrySpec
 
     sc = _resolve(scenario)
     label = f"scenario/{sc.name}/{scale}"
     tel = TelemetrySpec(label=label).build()
     run = run_scenario(sc, scale=scale, policy=policy, telemetry=tel)
-    cfg = _scenario_config_dict(run)
-    if sc.family == "clamr":
-        return record_from_clamr(run.result, tel, cfg, seed=seed, label=label)
-    return record_from_self(run.result, tel, cfg, seed=seed, label=label)
+    identity = WorkloadConfig(sc.family, run.config, sc.name).identity()
+    return record_from_run(sc.family, run.result, tel, identity, seed=seed, label=label)
 
 
 #: Machine-independent fidelity digests gated bitwise against the goldens.
@@ -219,6 +277,8 @@ def gate_scenarios(
     scale: str = GOLDEN_SCALE,
 ) -> list[ShapeCheck]:
     """Fresh-run every scenario and diff identity + fidelity vs the goldens."""
+    from repro.harness.paper import ShapeCheck
+
     goldens = load_golden_records(baseline_path)
     out: list[ShapeCheck] = []
     for name in names if names is not None else scenario_names():

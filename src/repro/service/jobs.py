@@ -3,25 +3,26 @@
 The whole service rests on one fact the ledger established: a run's
 ``workload_key`` is a machine-independent hash of (workload, config,
 policy, seed) — computable from the request alone.  :class:`JobSpec`
-is that request, and :meth:`JobSpec.workload_key` reconstructs the
-*exact* config payload :func:`repro.ledger.record.record_from_clamr` /
-``record_from_self`` will hash after the run (same ``run`` sub-dict,
-same canonical JSON types), so
+is that request, and :meth:`JobSpec.workload_key` derives the config
+payload by the code path the run itself takes — the workload builder
+(:func:`repro.scenarios.runner.build_config`) and the ledger's ``run``
+sub-dict (:func:`repro.ledger.record.run_shape`) — so
 
 * the result cache can be consulted before paying for a computation,
 * a finished record can be cross-checked against the job that asked for
   it (:func:`execute_job` refuses to return a record whose identity
   drifted from its spec — that would poison the cache).
 
-The prediction is pinned by a test that runs a real workload and
-compares keys; any future change to the hashed run identity must update
-both sides or that test fails.
+A test runs real workloads and compares keys, and :func:`execute_job`
+re-checks every record, as a safety net.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
+
+from repro.ledger.record import hashed_config, run_shape, workload_key_of, workload_label
+from repro.scenarios.runner import build_config
 
 __all__ = ["JOB_SCHEMA_VERSION", "JobSpec", "execute_job"]
 
@@ -95,30 +96,18 @@ class JobSpec:
     def config_payload(self) -> dict:
         """The config dict the ledger will hash for this job's run.
 
-        Mirrors ``record_from_clamr``/``record_from_self``: the simulation
-        config dataclass as a dict, plus the ``run`` sub-dict of shape
-        knobs, through a JSON round-trip for canonical types.
+        Built by the code the run itself uses: the workload builder's
+        identity payload plus the ledger's ``run`` sub-dict.
         """
-        if self.workload == "clamr":
-            from repro.clamr import DamBreakConfig
-
-            cfg = asdict(DamBreakConfig(nx=self.nx, ny=self.nx, max_level=self.max_level))
-            cfg["run"] = {
-                "steps": self.steps,
-                "scheme": self.scheme,
-                "vectorized": True,
-                "watch_stride": self.watch_stride,
-            }
-        else:
-            from repro.self_ import ThermalBubbleConfig
-
-            cfg = asdict(
-                ThermalBubbleConfig(
-                    nex=self.elems, ney=self.elems, nez=self.elems, order=self.order
-                )
-            )
-            cfg["run"] = {"steps": self.steps, "watch_stride": self.watch_stride}
-        return json.loads(json.dumps(cfg))
+        built = build_config(
+            self.workload, nx=self.nx, max_level=self.max_level,
+            elems=self.elems, order=self.order,
+        )
+        run = run_shape(
+            self.workload, steps=self.steps, watch_stride=self.watch_stride,
+            scheme=self.scheme,
+        )
+        return hashed_config(built.identity(), run)
 
     @property
     def policy_name(self) -> str:
@@ -127,44 +116,20 @@ class JobSpec:
 
     def workload_key(self) -> str:
         """The machine-independent identity this job's record will carry."""
-        from repro.ledger.record import workload_key_of
-
         return workload_key_of(self.workload, self.config_payload(), self.policy_name, self.seed)
 
     # -- execution ---------------------------------------------------------
 
     def run_kwargs(self) -> dict:
-        """Keyword arguments for :func:`repro.ledger.run_workload`."""
-        common = {
-            "seed": self.seed,
-            "watch_stride": self.watch_stride,
-            "label": self.label,
-            "steps": self.steps,
-        }
-        if self.workload == "clamr":
-            return {
-                "workload": "clamr",
-                "nx": self.nx,
-                "max_level": self.max_level,
-                "policy": self.policy,
-                "scheme": self.scheme,
-                **common,
-            }
-        return {
-            "workload": "self",
-            "elems": self.elems,
-            "order": self.order,
-            "precision": self.precision,
-            **common,
-        }
+        """Keyword arguments for :func:`repro.ledger.run_workload`: every field."""
+        return asdict(self)
 
     def describe(self) -> str:
-        if self.label:
-            return self.label
-        if self.workload == "clamr":
-            variant = "" if self.scheme == "rusanov" else f"/{self.scheme}"
-            return f"clamr/nx{self.nx}s{self.steps}/{self.policy}{variant}"
-        return f"self/e{self.elems}o{self.order}s{self.steps}/{self.precision}"
+        return self.label or workload_label(
+            self.workload, steps=self.steps, nx=self.nx, policy=self.policy,
+            scheme=self.scheme, elems=self.elems, order=self.order,
+            precision=self.precision,
+        )
 
     # -- serialization -----------------------------------------------------
 

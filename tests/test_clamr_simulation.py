@@ -118,6 +118,37 @@ class TestDeterminism:
         assert a.mass_history == b.mass_history
 
 
+class TestFinalize:
+    def test_finalize_builds_the_hash_image_once(self):
+        from unittest import mock
+
+        from repro.clamr.mesh import AmrMesh
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry(label="finalize", watch_stride=0)
+        sim = ClamrSimulation(SMALL, policy="mixed", telemetry=tel)
+        original = AmrMesh.build_hash
+        in_finalize = []
+
+        def counting(mesh):
+            current = tel.tracer.current()
+            in_finalize.append(current is not None and current.name == "clamr/finalize")
+            return original(mesh)
+
+        with mock.patch.object(AmrMesh, "build_hash", counting):
+            result = sim.run(8)
+        assert sum(in_finalize) == 1
+        # both resamples equal the per-call resample bit for bit
+        H = sim.state.H
+        np.testing.assert_array_equal(
+            result.field, sim.mesh.sample_to_uniform(H.astype(sim.policy.graphics_dtype))
+        )
+        np.testing.assert_array_equal(
+            result.slice_precise,
+            sim.mesh.sample_to_uniform(H.astype(np.float64))[:, result.field.shape[1] // 2],
+        )
+
+
 class TestConfigValidation:
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,24 @@ class TestCommands:
         record = Ledger(tmp_path / "obs").records()[0]
         assert record.workload == "self"
 
+    def test_clamr_ledger_labels_tell_variants_apart(self, tmp_path):
+        from repro.ledger import Ledger
+        from repro.service import JobSpec
+
+        base = ["clamr", "--nx", "8", "--steps", "4", "--max-level", "1",
+                "--ledger", str(tmp_path / "obs")]
+        for extra in ([], ["--scheme", "muscl"], ["--scalar"]):
+            assert main(base + extra) == 0
+        plain, muscl, scalar = Ledger(tmp_path / "obs").records()
+        assert plain.label == "clamr/nx8s4/full"
+        assert muscl.label == "clamr/nx8s4/full/muscl"
+        assert scalar.label == "clamr/nx8s4/full/scalar"
+        # the same run submitted as a job: same label, same identity
+        spec = JobSpec(workload="clamr", nx=8, steps=4, max_level=1, policy="full",
+                       scheme="muscl", watch_stride=8)
+        assert spec.describe() == muscl.label
+        assert spec.workload_key() == muscl.workload_key
+
 
 class TestResilienceCLI:
     def test_parser_defaults(self):
@@ -223,6 +241,40 @@ class TestErrorHygiene:
     def test_missing_export_bench_ledger(self, tmp_path, capsys):
         self._expect_error(
             capsys, ["ledger", "export-bench", "--ledger", str(tmp_path / "nope")])
+
+
+#: every door that takes --scenario, each asked for the other family's
+WRONG_FAMILY = {
+    "table 1": (["table", "1", "--scenario", "self/thermal-bubble"], "self", "clamr"),
+    "table 5": (["table", "5", "--scenario", "clamr/dam-break"], "clamr", "self"),
+    "figure 1": (["figure", "1", "--scenario", "self/thermal-bubble"], "self", "clamr"),
+    "figure 4": (["figure", "4", "--scenario", "clamr/dam-break"], "clamr", "self"),
+    "resilience inject": (
+        ["resilience", "inject", "clamr", "--scenario", "self/thermal-bubble"], "self", "clamr"),
+    "resilience run": (
+        ["resilience", "run", "self", "--scenario", "clamr/dam-break"], "clamr", "self"),
+    "resilience campaign": (
+        ["resilience", "campaign", "clamr", "--scenario", "self/thermal-bubble"],
+        "self", "clamr"),
+    "diverge record": (
+        ["diverge", "record", "{tmp}/run", "--scenario", "self/thermal-bubble"],
+        "self", "clamr"),
+}
+
+
+@pytest.mark.parametrize("door", sorted(WRONG_FAMILY))
+def test_wrong_family_scenario_refused_alike_at_every_door(door, tmp_path, capsys):
+    argv, family, workload = WRONG_FAMILY[door]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    scenario = argv[argv.index("--scenario") + 1]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"repro: error: scenario {scenario!r} belongs to workload {family!r}, "
+        f"not {workload!r}\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
 
 
 class TestStrictTrace:

@@ -65,6 +65,14 @@ def _boom(i):
     return i
 
 
+def _first_fails_rest_sleep(i, marker_dir):
+    if i == 0:
+        raise RuntimeError("task 0 exploded")
+    (Path(marker_dir) / f"ran-{i}").touch()
+    time.sleep(0.5)
+    return i
+
+
 class TestExecutor:
     def test_inline_matches_pool(self):
         tasks = [SweepTask(name=f"t{i}", fn=_square, args=(i,)) for i in range(9)]
@@ -86,6 +94,17 @@ class TestExecutor:
         for jobs in (1, 3):
             with pytest.raises(RuntimeError, match="task 2 exploded"):
                 SweepExecutor(jobs).map(tasks)
+
+    def test_raised_error_cancels_queued_tasks(self, tmp_path):
+        # task 0 fails at once; the 7 sleepers still queued behind it must
+        # be dropped, not all run before the error surfaces
+        tasks = [
+            SweepTask(name=f"t{i}", fn=_first_fails_rest_sleep, args=(i, str(tmp_path)))
+            for i in range(8)
+        ]
+        with pytest.raises(RuntimeError, match="task 0 exploded"):
+            SweepExecutor(2).map(tasks)
+        assert len(list(tmp_path.glob("ran-*"))) < 7
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
