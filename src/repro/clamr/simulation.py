@@ -36,7 +36,7 @@ from repro.machine.counters import CountedWorkload, WorkloadProfile
 from repro.precision.analysis import line_out
 from repro.precision.policy import PrecisionPolicy, level_from_name
 from repro.sums.doubledouble import dd_sum
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry, cancellation_digits
 
 __all__ = ["DamBreakConfig", "SimulationResult", "ClamrSimulation"]
 
@@ -161,8 +161,9 @@ class ClamrSimulation:
         kernel invocation (timestep reduction, finite-diff update,
         refinement flagging, regrid, mass sum) runs inside a span with its
         flop/byte deltas attached, the metrics registry collects dt /
-        regrid / mass-drift series, and the numerical watchpoints scan
-        H/U/V at the telemetry's stride.  ``None`` (default) routes all
+        regrid / mass-drift series, and every step's H/U/V go to the
+        telemetry's state-hash, watchpoint and flight observers, which
+        run at their own strides.  ``None`` (default) routes all
         instrumentation through the shared no-op object — overhead is two
         trivial calls per span.
     """
@@ -297,15 +298,16 @@ class ClamrSimulation:
             mass = float(dd_sum(contrib))
             abs_sum = float(np.sum(np.abs(contrib)))
             tel.check_cancellation("mass", abs_sum, mass, step=self.step_count)
-            if abs_sum > 0.0 and mass != 0.0 and abs_sum / abs(mass) > 1.0:
-                self._last_cancellation = math.log10(abs_sum / abs(mass))
-            else:
-                self._last_cancellation = 0.0
+            self._last_cancellation = cancellation_digits(abs_sum, mass)
             sp.set(mass=mass)
         return mass
 
-    def _flight_sample(self, flight, dt: float, drift: float) -> None:
-        """Record one flight sample from the current state (no wall-clock).
+    def _fields(self) -> dict[str, np.ndarray]:
+        """The state arrays the observers hash, scan and sample."""
+        return {"H": self.state.H, "U": self.state.U, "V": self.state.V}
+
+    def _flight_scalars(self, dt: float, drift: float) -> dict[str, float]:
+        """The flight signals only the driver knows (no wall-clock).
 
         The realized CFL is recomputed from the same promoted-state wave
         speeds :func:`~repro.clamr.kernels.compute_timestep` uses — it
@@ -313,8 +315,6 @@ class ClamrSimulation:
         deviates when something external (e.g. resilience ``halve_dt``)
         modified the step.
         """
-        from repro.telemetry.flight import field_signals
-
         cdtype = self.policy.compute_dtype
         H, U, V = self.state.promoted()
         h = np.maximum(H, cdtype.type(1e-12))
@@ -323,21 +323,15 @@ class ClamrSimulation:
         size, _ = self._geom.geometry(self.mesh, cdtype)
         with np.errstate(invalid="ignore", over="ignore"):
             cfl = float(dt) * float(np.max(wave / size))
-        signals = field_signals(
-            {"H": self.state.H, "U": self.state.U, "V": self.state.V},
-            self.state.state_dtype,
-        )
-        flight.record(
-            self.step_count,
-            dt=float(dt),
-            cfl=cfl,
-            ncells=float(self.mesh.ncells),
-            state_bits=float(self.policy.state_dtype.itemsize * 8),
-            compute_bits=float(self.policy.compute_dtype.itemsize * 8),
-            cancellation_digits=self._last_cancellation,
-            conservation_drift=drift,
-            **signals,
-        )
+        return {
+            "dt": float(dt),
+            "cfl": cfl,
+            "ncells": float(self.mesh.ncells),
+            "state_bits": float(self.policy.state_dtype.itemsize * 8),
+            "compute_bits": float(self.policy.compute_dtype.itemsize * 8),
+            "cancellation_digits": self._last_cancellation,
+            "conservation_drift": drift,
+        }
 
     def run(self, steps: int, record_mass: bool = True) -> SimulationResult:
         """Advance ``steps`` timesteps and package the results."""
@@ -360,9 +354,6 @@ class ClamrSimulation:
         counters = workload.counters
 
         tel = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
-        recording = tel.enabled
-        flight = getattr(tel, "flight", None) if recording else None
-        ladder = getattr(tel, "ladder", None) if recording else None
         drift = 0.0 if record_mass else math.nan
         kernel_span_name = f"clamr/{kernel.__name__}"
 
@@ -390,18 +381,15 @@ class ClamrSimulation:
         with tel.span("clamr/run", steps=steps, ncells=self.mesh.ncells):
             for _ in range(steps):
                 with tel.span("clamr/step", step=self.step_count):
-                    # the step being computed (step_count increments mid-loop)
-                    step_no = self.step_count + 1
-                    hashing = ladder is not None and ladder.should_hash(step_no)
-                    if recording:
+                    step = self.step_count + 1  # the step being computed
+                    if tel.enabled:
                         f0, b0 = counters.flops, counters.state_bytes
                     with tel.span("clamr/compute_timestep") as sp:
                         dt = compute_timestep(
                             self.mesh, self.state, cfg.courant, counters=counters, geom=self._geom
                         )
-                    if hashing:
-                        ladder.record_site(step_no, "clamr/compute_timestep", {"dt": dt})
-                    if recording:
+                    tel.site(step, "clamr/compute_timestep", {"dt": dt})
+                    if tel.enabled:
                         sp.set(
                             flops=counters.flops - f0,
                             state_bytes=counters.state_bytes - b0,
@@ -421,12 +409,8 @@ class ClamrSimulation:
                             bathy=bathy,
                         )
                     kernel_elapsed += time.perf_counter() - t0
-                    if hashing:
-                        ladder.record_site(
-                            step_no, kernel_span_name,
-                            {"H": self.state.H, "U": self.state.U, "V": self.state.V},
-                        )
-                    if recording:
+                    tel.site(step, kernel_span_name, self._fields())
+                    if tel.enabled:
                         dflops = counters.flops - f0
                         dbytes = counters.state_bytes - b0
                         sp.set(flops=dflops, state_bytes=dbytes)
@@ -445,14 +429,9 @@ class ClamrSimulation:
                         invocations=0,
                     )
                     self.time += dt
-                    self.step_count += 1
+                    self.step_count = step
                     times.append(self.time)
-                    if recording and tel.numerics.should_scan(self.step_count):
-                        state_dtype = self.state.state_dtype
-                        tel.scan("H", self.state.H, dtype=state_dtype, step=self.step_count)
-                        tel.scan("U", self.state.U, dtype=state_dtype, step=self.step_count)
-                        tel.scan("V", self.state.V, dtype=state_dtype, step=self.step_count)
-                    if cfg.max_level > 0 and self.step_count % cfg.regrid_interval == 0:
+                    if cfg.max_level > 0 and step % cfg.regrid_interval == 0:
                         with tel.span("clamr/refinement_flags"):
                             flags = refinement_flags(
                                 self.mesh,
@@ -472,19 +451,12 @@ class ClamrSimulation:
                             fixed_bytes=8 * self.mesh.nxf * self.mesh.nyf
                             + 4 * 8 * self.mesh.ncells
                         )
-                        if hashing:
-                            # regrid replaces mesh+state, so hash the new
-                            # layout (level map included) inline
-                            ladder.record_site(
-                                step_no, "clamr/regrid",
-                                {
-                                    "H": self.state.H,
-                                    "U": self.state.U,
-                                    "V": self.state.V,
-                                    "level": self.mesh.level,
-                                },
-                            )
-                        if recording:
+                        # regrid replaces mesh+state: the new layout's
+                        # level map is part of what it produced
+                        tel.site(
+                            step, "clamr/regrid", {**self._fields(), "level": self.mesh.level}
+                        )
+                        if tel.enabled:
                             sp.set(
                                 ncells_before=ncells_before,
                                 ncells_after=self.mesh.ncells,
@@ -499,11 +471,13 @@ class ClamrSimulation:
                                     abs(mass_history[-1] - mass_history[0])
                                     / abs(mass_history[0])
                                 )
-                                if recording:
+                                if tel.enabled:
                                     tel.metrics.gauge("clamr.mass_drift").set(drift)
                         ncells_history.append(self.mesh.ncells)
-                    if flight is not None and flight.should_sample(self.step_count):
-                        self._flight_sample(flight, dt, drift)
+                    tel.end_step(
+                        step, self._fields(), self.state.state_dtype,
+                        lambda: self._flight_scalars(dt, drift),
+                    )
         elapsed = time.perf_counter() - t_start
         with tel.span("clamr/finalize"):
             if record_mass:
@@ -542,14 +516,10 @@ class ClamrSimulation:
         """
         if target_time <= self.time:
             raise ValueError("target_time must exceed current simulation time")
-        cfg = self.config
-        # Estimate steps from the gravity wave speed on the finest cells;
-        # run() in chunks until the target is passed.
+        # run() in chunks of 16 steps until the target is passed
         result: SimulationResult | None = None
         while self.time < target_time and self.step_count < max_steps:
-            chunk = 16
-            result = self.run(chunk, record_mass=False)
+            result = self.run(16, record_mass=False)
         if result is None:  # pragma: no cover - defensive
             raise RuntimeError("no steps taken")
-        del cfg
         return result

@@ -828,8 +828,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     levels = [x.strip() for x in args.levels.split(",")]
     if len(levels) != 2:
-        print("--levels expects exactly two comma-separated names", file=sys.stderr)
-        return 2
+        raise CLIError(f"--levels expects exactly two comma-separated names, got {args.levels!r}")
     built = build_config("clamr", nx=args.nx, max_level=2)
     runs = {lvl: built.simulation(lvl).run(args.steps) for lvl in levels}
     a, b = (runs[lvl] for lvl in levels)
@@ -1077,8 +1076,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         runs_b = ledger.by_fingerprint(args.b)
         for name, runs in ((args.a, runs_a), (args.b, runs_b)):
             if not runs:
-                print(f"no records match fingerprint {name!r}", file=sys.stderr)
-                return 2
+                raise CLIError(f"no records match fingerprint {name!r}")
         print(compare_table(runs_a, runs_b).render())
         return 0
 

@@ -42,7 +42,8 @@ from repro.self_.equations import RHO, AtmosphereConstants, CompressibleEuler
 from repro.self_.filter import apply_filter_3d, modal_filter_matrix
 from repro.self_.mesh import HexMesh
 from repro.self_.timeint import LowStorageRK3
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.sums.doubledouble import dd_sum
+from repro.telemetry import NULL_TELEMETRY, Telemetry, cancellation_digits
 
 __all__ = ["ThermalBubbleConfig", "SelfResult", "SelfSimulation", "parse_precision"]
 
@@ -151,9 +152,9 @@ class SelfSimulation:
         Optional :class:`repro.telemetry.Telemetry`.  When provided, the
         RK stages (each RHS evaluation), the modal filter, the viscous
         operator and the stable-dt reduction all run inside spans, the
-        metrics registry collects the dt and flop series, and the
-        numerical watchpoints scan the conserved variables at the
-        telemetry's stride.
+        metrics registry collects the dt, flop and byte series, and every
+        step's conserved variables go to the telemetry's state-hash,
+        watchpoint and flight observers, which run at their own strides.
     """
 
     def __init__(
@@ -189,7 +190,7 @@ class SelfSimulation:
             rho_bar=rho_bar,
             p_bar=p_bar,
         )
-        self.U = self._initial_state(rho_bar, p_bar)
+        self.U = self._initial_state(p_bar)
         self._filter = modal_filter_matrix(
             config.order, cutoff=config.filter_cutoff, strength=config.filter_strength
         ).astype(self.dtype)
@@ -231,32 +232,16 @@ class SelfSimulation:
             "rhoE": U[:, 4],
         }
 
-    def _flight_sample(self, flight, dt: float) -> None:
-        """Record one flight sample from the conserved state.
+    def _flight_scalars(self, dt: float) -> dict[str, float]:
+        """The flight signals only the driver knows.
 
         SELF's dt is always CFL-derived, so the realized Courant number is
-        the configured target; the interesting signals are the field
-        health of ρ/momentum/energy and the total-mass drift against the
-        first sample (double-double reduced, like CLAMR's mass history).
+        the configured target; the conservation signals come from the
+        total mass (double-double reduced, like CLAMR's mass history),
+        with drift measured against the first sample.
         """
-        from repro.sums.doubledouble import dd_sum
-        from repro.telemetry.flight import field_signals
-
-        signals = field_signals(
-            {
-                "rho": self.U[:, RHO],
-                "momentum": self.U[:, 1:4],
-                "energy": self.U[:, 4],
-            },
-            self.dtype,
-        )
         contrib = self.U[:, RHO].astype(np.float64).ravel()
         mass = float(dd_sum(contrib))
-        abs_sum = float(np.sum(np.abs(contrib)))
-        if abs_sum > 0.0 and mass != 0.0 and abs_sum / abs(mass) > 1.0:
-            cancellation = math.log10(abs_sum / abs(mass))
-        else:
-            cancellation = 0.0
         if self._flight_mass0 is None:
             self._flight_mass0 = mass
         drift = (
@@ -265,17 +250,15 @@ class SelfSimulation:
             else math.nan
         )
         bits = float(self.dtype.itemsize * 8)
-        flight.record(
-            self.step_count,
-            dt=float(dt),
-            cfl=float(self.config.courant),
-            ncells=float(self.mesh.nelem),
-            state_bits=bits,
-            compute_bits=bits,
-            cancellation_digits=cancellation,
-            conservation_drift=drift,
-            **signals,
-        )
+        return {
+            "dt": float(dt),
+            "cfl": float(self.config.courant),
+            "ncells": float(self.mesh.nelem),
+            "state_bits": bits,
+            "compute_bits": bits,
+            "cancellation_digits": cancellation_digits(float(np.sum(np.abs(contrib))), mass),
+            "conservation_drift": drift,
+        }
 
     # -- initial condition ------------------------------------------------
 
@@ -290,7 +273,7 @@ class SelfSimulation:
         rho_bar = c.p0 * exner ** (c.cv / c.gas_constant) / (c.gas_constant * self.config.theta0)
         return rho_bar, p_bar
 
-    def _initial_state(self, rho_bar: np.ndarray, p_bar: np.ndarray) -> np.ndarray:
+    def _initial_state(self, p_bar: np.ndarray) -> np.ndarray:
         """Background plus the warm blob (pressure unperturbed)."""
         c = self.constants
         cfg = self.config
@@ -309,7 +292,6 @@ class SelfSimulation:
         U = np.zeros((self.mesh.nelem, 5, n, n, n), dtype=self.dtype)
         U[:, RHO] = rho.astype(self.dtype)
         U[:, 4] = (p_bar / (c.gamma - 1.0)).astype(self.dtype)
-        del rho_bar
         return U
 
     # -- running ----------------------------------------------------------
@@ -320,9 +302,6 @@ class SelfSimulation:
             raise ValueError("steps must be at least 1")
         cfg = self.config
         tel = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
-        recording = tel.enabled
-        flight = getattr(tel, "flight", None) if recording else None
-        ladder = getattr(tel, "ladder", None) if recording else None
         flops = 0
         kernel_elapsed = 0.0
         # compiled-backend warm-up outside the timed region (see the CLAMR
@@ -337,50 +316,40 @@ class SelfSimulation:
         with tel.span("self/run", steps=steps, ndof=self.mesh.ndof):
             for _ in range(steps):
                 with tel.span("self/step", step=self.step_count):
-                    # the step being computed (step_count increments below)
-                    step_no = self.step_count + 1
-                    hashing = ladder is not None and ladder.should_hash(step_no)
+                    step = self.step_count + 1  # the step being computed
                     with tel.span("self/stable_dt") as sp:
                         dt = self.solver.stable_dt(self.U, cfg.courant)
-                    if hashing:
-                        ladder.record_site(step_no, "self/stable_dt", {"dt": dt})
-                    if recording:
+                    tel.site(step, "self/stable_dt", {"dt": dt})
+                    if tel.enabled:
                         sp.set(dt=dt)
                         tel.metrics.histogram("self.dt").observe(dt)
                     t0 = time.perf_counter()
                     with tel.span("self/rk3_step") as sp:
                         self._stepper.step(self.U, dt)
-                    if hashing:
-                        ladder.record_site(
-                            step_no, "self/rk3_step", self._hash_fields()
-                        )
+                    tel.site(step, "self/rk3_step", self._hash_fields())
                     if self.step_count % cfg.filter_interval == 0:
                         with tel.span("self/filter"):
                             perturbation = self.U - self._background
                             self.U = self._background + apply_filter_3d(
                                 perturbation, self._filter
                             )
-                        if hashing:
-                            ladder.record_site(
-                                step_no, "self/filter", self._hash_fields()
-                            )
+                        tel.site(step, "self/filter", self._hash_fields())
                     kernel_elapsed += time.perf_counter() - t0
                     self.time += dt
-                    self.step_count += 1
+                    self.step_count = step
                     step_flops = self._flops_per_step()
                     flops += step_flops
-                    if recording:
-                        sp.set(flops=step_flops)
+                    if tel.enabled:
+                        step_bytes = self._state_traffic_per_step()
+                        sp.set(flops=step_flops, state_bytes=step_bytes)
                         tel.metrics.counter("self.flops").add(step_flops)
-                        tel.metrics.counter("self.state_bytes").add(
-                            self._state_traffic_per_step()
-                        )
-                        if tel.numerics.should_scan(self.step_count):
-                            tel.scan("rho", self.U[:, RHO], step=self.step_count)
-                            tel.scan("momentum", self.U[:, 1:4], step=self.step_count)
-                            tel.scan("energy", self.U[:, 4], step=self.step_count)
-                    if flight is not None and flight.should_sample(self.step_count):
-                        self._flight_sample(flight, dt)
+                        tel.metrics.counter("self.state_bytes").add(step_bytes)
+                    tel.end_step(
+                        step,
+                        {"rho": self.U[:, RHO], "momentum": self.U[:, 1:4], "energy": self.U[:, 4]},
+                        self.dtype,
+                        lambda: self._flight_scalars(dt),
+                    )
         elapsed = time.perf_counter() - t_start
 
         anomaly = (self.U[:, RHO].astype(np.float64) - self.solver.rho_bar.astype(np.float64))

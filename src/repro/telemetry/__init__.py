@@ -32,6 +32,8 @@ trivial method calls per span — unmeasurable against a kernel step.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.telemetry.metrics import (
@@ -45,6 +47,7 @@ from repro.telemetry.numerics import (
     NullNumericsWatch,
     NumericalEvent,
     NumericsWatch,
+    cancellation_digits,
 )
 from repro.telemetry.spans import NULL_SPAN, NullSpan, Span, Tracer
 
@@ -62,6 +65,7 @@ __all__ = [
     "Histogram",
     "NumericsWatch",
     "NumericalEvent",
+    "cancellation_digits",
     # re-exported for convenience; implemented in repro.telemetry.export
     "write_jsonl",
     "read_jsonl",
@@ -98,14 +102,17 @@ class Telemetry:
         while keeping spans and metrics).
     flight:
         Optional :class:`~repro.telemetry.flight.FlightRecorder`.  When
-        set, the simulations record their per-timestep numerics time
+        set, :meth:`end_step` records the per-timestep numerics time
         series into it (see docs/flightrecorder.md); ``None`` (default)
         skips flight sampling entirely.
     ladder:
         Optional :class:`~repro.diverge.ladder.StateHashLadder`.  When
-        set, the simulations hash their live state at every kernel site
-        on hashed steps (see docs/divergence.md); ``None`` (default)
-        skips state hashing entirely.
+        set, :meth:`site` hashes the live state at every kernel site on
+        hashed steps (see docs/divergence.md); ``None`` (default) skips
+        state hashing entirely.
+
+    The simulations only name sites and hand over arrays (:meth:`site`,
+    :meth:`end_step`); each observer's own stride picks the steps.
     """
 
     enabled = True
@@ -125,6 +132,32 @@ class Telemetry:
     def span(self, name: str, **counters: float):
         """Open a span; see :meth:`repro.telemetry.spans.Tracer.span`."""
         return self.tracer.span(name, **counters)
+
+    # -- per-step observation ---------------------------------------------
+
+    def site(self, step: int, name: str, arrays: "dict[str, np.ndarray]") -> None:
+        """Kernel site ``name`` of ``step`` ran: hash ``arrays`` if ``step`` is hashed."""
+        if self.ladder is not None and self.ladder.should_hash(step):
+            self.ladder.record_site(step, name, arrays)
+
+    def end_step(
+        self,
+        step: int,
+        fields: "dict[str, np.ndarray]",
+        dtype: "np.dtype",
+        sample: "Callable[[], dict[str, float]]",
+    ) -> None:
+        """``step`` ended with state ``fields``: scan them and/or flight-sample them.
+
+        On the watch stride every field is scanned against ``dtype``.  On
+        the flight stride one sample records the driver's scalars from
+        ``sample()`` (called only then), then the fields' health signals.
+        """
+        if self.numerics.should_scan(step):
+            for name, array in fields.items():
+                self.scan(name, array, dtype=dtype, step=step)
+        if self.flight is not None and self.flight.should_sample(step):
+            self.flight.record(step, **sample(), **field_signals(fields, dtype))
 
     # -- numerics ---------------------------------------------------------
 
@@ -172,6 +205,12 @@ class NullTelemetry:
     def span(self, name: str, **counters: float) -> NullSpan:
         return NULL_SPAN
 
+    def site(self, step, name, arrays) -> None:
+        return None
+
+    def end_step(self, step, fields, dtype, sample) -> None:
+        return None
+
     def scan(self, name, array, dtype=None, step=0) -> list[NumericalEvent]:
         return []
 
@@ -195,6 +234,7 @@ from repro.telemetry.export import (  # noqa: E402
 )
 from repro.telemetry.flight import (  # noqa: E402
     FlightRecorder,
+    field_signals,
     flight_compare,
     flight_counter_trace,
     flight_digest,

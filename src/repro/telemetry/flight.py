@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.telemetry.export import _clean, _unclean
+from repro.telemetry.numerics import array_health
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
@@ -78,43 +79,23 @@ DANGER_RULES: dict[str, tuple[str, float]] = {
 def field_signals(arrays: dict[str, np.ndarray], dtype) -> dict[str, float]:
     """Reduce a set of state arrays to the flight's field-health signals.
 
-    Mirrors the :class:`~repro.telemetry.numerics.NumericsWatch` scan math
-    (same finite mask, same subnormal and headroom definitions) but returns
-    the raw numbers instead of thresholded events: NaN/Inf counts summed
-    over the arrays, the *worst* (max) subnormal fraction, and the *worst*
-    (min) overflow headroom in bits against ``dtype``'s range.
+    Built on the numerics watch's own per-array pass
+    (:func:`~repro.telemetry.numerics.array_health`), but returns the raw
+    numbers instead of thresholded events: NaN/Inf counts summed over the
+    arrays, the *worst* (max) subnormal fraction, and the *worst* (min)
+    overflow headroom in bits against ``dtype``'s range.
     """
     info = np.finfo(np.dtype(dtype))
-    n_nan = 0
-    n_inf = 0
-    max_abs = 0.0
-    subnormal_fraction = 0.0
-    for arr in arrays.values():
-        arr = np.asarray(arr)
-        finite = np.isfinite(arr)
-        n_bad = int(arr.size - np.count_nonzero(finite))
-        if n_bad:
-            bad_nan = int(np.count_nonzero(np.isnan(arr)))
-            n_nan += bad_nan
-            n_inf += n_bad - bad_nan
-            abs_finite = np.abs(arr[finite])
-        else:
-            abs_finite = np.abs(arr)
-        if abs_finite.size:
-            max_abs = max(max_abs, float(abs_finite.max()))
-            nonzero = abs_finite[abs_finite > 0]
-            if nonzero.size:
-                frac = float(np.count_nonzero(nonzero < info.tiny)) / nonzero.size
-                subnormal_fraction = max(subnormal_fraction, frac)
+    health = [array_health(arr, info.tiny) for arr in arrays.values()]
+    max_abs = max((h.max_abs for h in health), default=0.0)
+    headroom_bits = math.log2(float(info.max))
     if max_abs > 0.0:
-        headroom_bits = math.log2(float(info.max)) - math.log2(max_abs)
-    else:
-        headroom_bits = math.log2(float(info.max))
+        headroom_bits -= math.log2(max_abs)
     return {
         "headroom_bits": headroom_bits,
-        "subnormal_fraction": subnormal_fraction,
-        "nan_count": float(n_nan),
-        "inf_count": float(n_inf),
+        "subnormal_fraction": max((h.subnormal_fraction for h in health), default=0.0),
+        "nan_count": float(sum(h.nan for h in health)),
+        "inf_count": float(sum(h.inf for h in health)),
     }
 
 

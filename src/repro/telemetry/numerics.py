@@ -32,13 +32,61 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["NumericalEvent", "NumericsWatch"]
+__all__ = [
+    "ArrayHealth",
+    "NumericalEvent",
+    "NumericsWatch",
+    "array_health",
+    "cancellation_digits",
+]
 
 #: Event kinds that invalidate the run outright.
 FATAL_KINDS = frozenset({"nan", "inf"})
+
+
+class ArrayHealth(NamedTuple):
+    """NaN and Inf counts, max finite |x| and subnormal share of nonzero finite values."""
+
+    nan: int
+    inf: int
+    max_abs: float  # 0.0 without finite values
+    subnormal_fraction: float  # 0.0 without nonzero finite values
+
+
+def array_health(array: np.ndarray, tiny: float) -> ArrayHealth:
+    """One pass over ``array`` against the normal floor ``tiny``.
+
+    Both :meth:`NumericsWatch.scan` and the flight recorder's
+    :func:`~repro.telemetry.flight.field_signals` reduce arrays with it.
+    """
+    arr = np.asarray(array)
+    finite = np.isfinite(arr)
+    n_bad = int(arr.size - np.count_nonzero(finite))
+    n_nan = int(np.count_nonzero(np.isnan(arr))) if n_bad else 0
+    magnitudes = np.abs(arr[finite]) if n_bad else np.abs(arr)
+    if not magnitudes.size:
+        return ArrayHealth(n_nan, n_bad - n_nan, 0.0, 0.0)
+    nonzero = int(np.count_nonzero(magnitudes))
+    # values below ``tiny`` are the subnormals plus the zeros
+    subnormal = int(np.count_nonzero(magnitudes < tiny)) - (magnitudes.size - nonzero)
+    return ArrayHealth(
+        n_nan, n_bad - n_nan, float(magnitudes.max()), subnormal / nonzero if nonzero else 0.0
+    )
+
+
+def cancellation_digits(abs_sum: float, total: float) -> float:
+    """Digits a working-precision sum cancels: ``log10(Σ|x| / |Σx|)``, else 0.
+
+    0 when the sum is well conditioned (ratio ≤ 1) or degenerate
+    (Σ|x| ≤ 0, Σx = 0 or NaN).
+    """
+    if abs_sum > 0.0 and total != 0.0 and abs_sum / abs(total) > 1.0:
+        return math.log10(abs_sum / abs(total))
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -129,64 +177,38 @@ class NumericsWatch:
         if check_dtype.kind != "f":
             raise ValueError(f"numerics watch needs a float dtype, got {check_dtype}")
         info = np.finfo(check_dtype)
+        health = array_health(arr, info.tiny)
         found: list[NumericalEvent] = []
 
-        finite = np.isfinite(arr)
-        n_bad = int(arr.size - np.count_nonzero(finite))
-        if n_bad:
-            n_nan = int(np.count_nonzero(np.isnan(arr)))
-            n_inf = n_bad - n_nan
-            if n_nan:
-                found.append(
-                    NumericalEvent(
-                        kind="nan", array=name, step=step, span_id=span_id,
-                        value=float(n_nan), severity="fatal",
-                        detail={"size": float(arr.size)},
-                    )
+        def emit(kind: str, value: float, severity: str, **detail: float) -> None:
+            found.append(
+                NumericalEvent(
+                    kind=kind, array=name, step=step, span_id=span_id,
+                    value=value, severity=severity, detail=detail,
                 )
-            if n_inf:
-                found.append(
-                    NumericalEvent(
-                        kind="inf", array=name, step=step, span_id=span_id,
-                        value=float(n_inf), severity="fatal",
-                        detail={"size": float(arr.size)},
-                    )
-                )
-            abs_finite = np.abs(arr[finite])
-        else:
-            abs_finite = np.abs(arr)
+            )
 
-        if abs_finite.size:
-            max_abs = float(abs_finite.max())
-            nonzero = abs_finite[abs_finite > 0]
-            if nonzero.size:
-                frac = float(np.count_nonzero(nonzero < info.tiny)) / nonzero.size
-                if frac > self.subnormal_fraction:
-                    found.append(
-                        NumericalEvent(
-                            kind="subnormal", array=name, step=step, span_id=span_id,
-                            value=frac, severity="warn",
-                            detail={
-                                "tiny": float(info.tiny),
-                                "min_nonzero": float(nonzero.min()),
-                                "threshold": self.subnormal_fraction,
-                            },
-                        )
-                    )
-            if max_abs > 0:
-                headroom = math.log10(float(info.max)) - math.log10(max_abs)
-                if headroom < self.headroom_decades:
-                    found.append(
-                        NumericalEvent(
-                            kind="overflow_risk", array=name, step=step, span_id=span_id,
-                            value=headroom, severity="warn",
-                            detail={
-                                "max_abs": max_abs,
-                                "dtype_max": float(info.max),
-                                "threshold": self.headroom_decades,
-                            },
-                        )
-                    )
+        if health.nan:
+            emit("nan", float(health.nan), "fatal", size=float(arr.size))
+        if health.inf:
+            emit("inf", float(health.inf), "fatal", size=float(arr.size))
+        if health.subnormal_fraction > self.subnormal_fraction:
+            magnitudes = np.abs(arr[np.isfinite(arr)])
+            emit(
+                "subnormal", health.subnormal_fraction, "warn",
+                tiny=float(info.tiny),
+                min_nonzero=float(magnitudes[magnitudes > 0].min()),
+                threshold=self.subnormal_fraction,
+            )
+        if health.max_abs > 0:
+            headroom = math.log10(float(info.max)) - math.log10(health.max_abs)
+            if headroom < self.headroom_decades:
+                emit(
+                    "overflow_risk", headroom, "warn",
+                    max_abs=health.max_abs,
+                    dtype_max=float(info.max),
+                    threshold=self.headroom_decades,
+                )
 
         self.events.extend(found)
         return found
@@ -210,12 +232,11 @@ class NumericsWatch:
             return None
         if total == 0.0:
             digits = math.inf
+        elif math.isnan(abs_sum / abs(total)):
+            digits = math.nan  # NaN/Inf summands: reported, never dropped
         else:
-            ratio = abs_sum / abs(total)
-            if ratio <= 1.0:
-                return None
-            digits = math.log10(ratio)
-        if digits <= self.cancellation_digits:
+            digits = cancellation_digits(abs_sum, total)
+        if digits == 0.0 or digits <= self.cancellation_digits:
             return None
         event = NumericalEvent(
             kind="cancellation", array=name, step=step, span_id=span_id,
@@ -239,22 +260,17 @@ class NumericsWatch:
 
 
 class NullNumericsWatch:
-    """Disabled-mode watch: never scans, never records."""
+    """Disabled-mode watch: the reporting surface of a watch that never scans.
+
+    :class:`~repro.telemetry.NullTelemetry` answers ``scan`` and
+    ``check_cancellation`` itself, so only the read side lives here.
+    """
 
     __slots__ = ()
 
     stride = 0
     events: list[NumericalEvent] = []
     fatal_events: list[NumericalEvent] = []
-
-    def should_scan(self, step: int) -> bool:
-        return False
-
-    def scan(self, name, array, dtype=None, step=0, span_id=None) -> list[NumericalEvent]:
-        return []
-
-    def check_cancellation(self, name, abs_sum, total, step=0, span_id=None) -> None:
-        return None
 
     def counts_by_kind(self) -> dict[str, int]:
         return {}

@@ -94,6 +94,17 @@ class TestCommands:
     def test_compare_bad_levels(self, capsys):
         assert main(["compare", "--nx", "16", "--steps", "5", "--levels", "min"]) == 2
 
+    def test_bad_argument_exits_carry_the_error_prefix(self, tmp_path, capsys):
+        # every bad-argument exit is one "repro: error:" line, exit 2
+        assert main(["compare", "--nx", "16", "--steps", "5", "--levels", "min"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --levels expects exactly two")
+        ledger = tmp_path / "runs.jsonl"
+        ledger.write_text("")
+        assert main(["ledger", "compare", "abc", "def", "--ledger", str(ledger)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: no records match fingerprint 'abc'")
+
     def test_table4(self, capsys):
         assert main(["table", "4"]) == 0
         out = capsys.readouterr().out

@@ -22,7 +22,7 @@ from repro.telemetry import (
     write_jsonl,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.numerics import NumericsWatch
+from repro.telemetry.numerics import NumericsWatch, array_health, cancellation_digits
 from repro.telemetry.spans import NULL_SPAN, NullSpan, Tracer
 
 
@@ -214,6 +214,49 @@ class TestNumericsWatch:
         assert ev.value == pytest.approx(12.0)
         # benign sum produces nothing
         assert w.check_cancellation("mass", abs_sum=10.0, total=9.0) is None
+
+    def test_cancellation_digits_formula(self):
+        assert cancellation_digits(1e12, 1.0) == pytest.approx(12.0)
+        assert cancellation_digits(1e12, -1.0) == pytest.approx(12.0)
+        # well conditioned, degenerate or unmeasurable sums measure 0 ...
+        for abs_sum, total in ((10.0, 10.0), (10.0, 0.0), (0.0, 1.0), (math.nan, 1.0)):
+            assert cancellation_digits(abs_sum, total) == 0.0
+        # ... while the watch reports Σx = 0 and NaN sums as events
+        w = NumericsWatch(stride=1)
+        assert w.check_cancellation("mass", abs_sum=1.0, total=0.0).value == math.inf
+        assert math.isnan(w.check_cancellation("mass", abs_sum=1.0, total=math.nan).value)
+        assert w.check_cancellation("mass", abs_sum=1.0, total=1.0) is None
+
+    def test_array_health_single_pass(self):
+        tiny = np.finfo(np.float32).tiny
+        a = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, tiny / 4, -3.0, 2.0],
+                     dtype=np.float32)
+        h = array_health(a, tiny)
+        assert (h.nan, h.inf, h.max_abs) == (1, 2, 3.0)
+        assert h.subnormal_fraction == 1 / 3  # of the 3 nonzero finite values
+        assert array_health(np.array([np.nan]), tiny) == (1, 0, 0.0, 0.0)
+        assert array_health(np.zeros(4), tiny) == (0, 0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_array_health_matches_masked_reference(self, dtype):
+        # the reference masks out the zeros before counting subnormals
+        info = np.finfo(dtype)
+        rng = np.random.default_rng(7)
+        picks = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, float(info.tiny) / 8, 1.5],
+                         dtype=dtype)
+        for _ in range(20):
+            a = np.where(rng.random(64) < 0.5, picks[rng.integers(0, 7, 64)],
+                         rng.standard_normal(64).astype(dtype))
+            finite = np.abs(a[np.isfinite(a)])
+            nonzero = finite[finite > 0]
+            reference = (
+                int(np.isnan(a).sum()),
+                int(np.isinf(a).sum()),
+                float(finite.max()) if finite.size else 0.0,
+                float(np.count_nonzero(nonzero < info.tiny)) / nonzero.size
+                if nonzero.size else 0.0,
+            )
+            assert array_health(a, info.tiny) == reference
 
     def test_dtype_override_vs_promoted_array(self):
         # storage dtype float32, scanned as float64 after promotion: the
@@ -449,7 +492,66 @@ class TestClamrIntegration:
         assert any(s.name == "clamr/finite_diff_muscl" for s in tel.tracer.spans)
 
 
+class TestStepObservation:
+    """``site``/``end_step``: the drivers name sites, telemetry picks the steps."""
+
+    def _tel(self):
+        from repro.diverge.ladder import StateHashLadder
+        from repro.telemetry.flight import FlightRecorder
+
+        return Telemetry(
+            watch_stride=3, flight=FlightRecorder(stride=2), ladder=StateHashLadder(stride=4)
+        )
+
+    def test_site_hashes_on_the_ladder_stride_only(self):
+        tel = self._tel()
+        for step in range(1, 9):
+            tel.site(step, "k", {"x": np.full(4, float(step))})
+            tel.site(step, "k2", {"dt": 0.5})
+        assert [e.step for e in tel.ladder.steps] == [4, 8]
+        assert [s.name for s in tel.ladder.steps[0].sites] == ["k", "k2"]
+        Telemetry().site(1, "k", {"x": np.ones(2)})  # no ladder: no-op
+
+    def test_end_step_scans_and_samples_on_their_strides(self):
+        tel = self._tel()
+        sampled = []
+
+        def sample(step):
+            sampled.append(step)
+            return {"dt": 0.1, "cfl": 0.2}
+
+        for step in range(1, 7):
+            field = np.ones(4, dtype=np.float32)
+            field[0] = np.nan
+            tel.end_step(step, {"H": field}, np.dtype(np.float32), lambda: sample(step))
+        assert sorted({e.step for e in tel.numerics.events}) == [3, 6]
+        assert sampled == tel.flight.steps == [2, 4, 6]
+        # driver scalars first, then the field-health signals
+        assert tel.flight.signal_names == [
+            "dt", "cfl", "headroom_bits", "subnormal_fraction", "nan_count", "inf_count",
+        ]
+        assert tel.flight.series("nan_count") == [1.0, 1.0, 1.0]
+
+    def test_null_telemetry_observes_nothing(self):
+        def sample():
+            raise AssertionError("sample() must not run without a flight")
+
+        NULL_TELEMETRY.site(1, "k", {"x": np.ones(2)})
+        NULL_TELEMETRY.end_step(1, {"x": np.ones(2)}, np.dtype(np.float64), sample)
+        Telemetry(watch_stride=1).end_step(1, {"x": np.ones(2)}, np.dtype(np.float64), sample)
+
+
 class TestSelfIntegration:
+    def test_rk3_spans_carry_state_bytes(self):
+        from repro.ledger.record import kernel_summaries
+
+        tel = Telemetry(label="self/test")
+        cfg = ThermalBubbleConfig(nex=2, ney=2, nez=2, order=2)
+        res = SelfSimulation(cfg, precision="single", telemetry=tel).run(3)
+        spans = tel.tracer.by_name("self/rk3_step")
+        assert sum(s.counters["state_bytes"] for s in spans) == res.profile.state_bytes > 0
+        assert kernel_summaries(tel)["self/rk3_step"].state_bytes == res.profile.state_bytes
+
     def test_spans_and_rk3_structure(self):
         tel = Telemetry(label="self/test", watch_stride=4)
         cfg = ThermalBubbleConfig(nex=2, ney=2, nez=2, order=2)
